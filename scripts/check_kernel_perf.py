@@ -14,9 +14,16 @@ baseline, and at least MIN_MINER_ISO_FACTOR fewer full
 isomorphism-matcher invocations than the reference growth miner — the
 headline claim of the incremental-embedding rework.
 
+Also gates the `mis_app` rows (one per paper app): MIS over every
+greedy-regime pattern the explorer mines from that app.  Their
+`words` field is the apex.mis.overlap_words counter — bucket-row words
+ORed — and is deterministic like the clique node counts.
+
 Failure conditions:
   * any clique row expands more than 2x the baseline's node count
     (the pruning bound regressed);
+  * any mis_app row ORs more than 2x the baseline's bucket-row words
+    (the overlap work regressed);
   * the largest clique row's weak-bound/coloring-bound node ratio
     falls below 5x (the headline reduction claim);
   * any miner row whose pattern count drifts from the baseline or
@@ -79,6 +86,22 @@ def main():
                 f"miner {row['app']}: {row['iso_calls']} matcher "
                 f"calls vs reference {row['iso_calls_ref']} "
                 f"(< {MIN_MINER_ISO_FACTOR}x reduction)")
+
+    base_mis = {r["app"]: r for r in baseline
+                if r["kernel"] == "mis_app"}
+    cur_mis = [r for r in current if r["kernel"] == "mis_app"]
+    if base_mis and not cur_mis:
+        failures.append("no mis_app rows in current output")
+    for row in cur_mis:
+        base = base_mis.get(row["app"])
+        if base is None:
+            continue
+        limit = NODE_REGRESSION_FACTOR * base["words"]
+        if row["words"] > limit:
+            failures.append(
+                f"mis_app {row['app']}: {row['words']} bucket-row "
+                f"words ORed vs baseline {base['words']} "
+                f"(> {NODE_REGRESSION_FACTOR}x)")
 
     base_clique = {r["n"]: r for r in baseline
                    if r["kernel"] == "clique"}

@@ -154,7 +154,8 @@ class FrequentSubgraphMiner {
      *
      * @param stats Optional run counters (see MineStats).
      * @return patterns with exact frequencies; mis_size is left 0
-     * (use MisAnalysis / rankPatterns to fill and order it).
+     * (use maximalIndependentSet / rankPatterns to fill and order
+     * it).
      */
     std::vector<MinedPattern> mine(const ir::Graph &app,
                                    MineStats *stats = nullptr) const;

@@ -20,18 +20,26 @@
  * min-degree greedy heuristic above it — both return a *maximal*
  * independent set, matching the paper's terminology.
  *
- * Implementation: the overlap graph is built with an inverted index
- * (target node -> occurrence ids; pairwise work is quadratic only
- * within each bucket instead of across all occurrence pairs), greedy
- * seeding keeps a bucket-by-degree structure so each pick is near
- * O(1) instead of an O(n) scan, and the exact branch and bound runs
- * on dense bitset alive-sets with cached live degrees.  All of it is
- * deterministic with ascending-index tie-breaking; the historic
- * implementations are retained as `*Reference` for differential
- * testing (tests/kernels_test.cpp) and must stay byte-identical.
+ * Implementation: the overlap graph is a union of cliques, one per
+ * target node shared by two or more occurrences, and it is stored that
+ * way — one dense bitset row per such node ("bucket"), whose bits are
+ * the occurrences containing it.  Occurrence i's closed neighbourhood
+ * is the OR of its few bucket rows, so a hub node shared by thousands
+ * of occurrences costs one row instead of millions of edges.  The
+ * greedy keeps a lazy min-heap per degree and, after each pick,
+ * updates degrees only for survivors sharing a bucket with a removed
+ * occurrence; the exact branch and bound runs on adjacency rows ORed
+ * from the same buckets.  All of it is deterministic with
+ * ascending-index tie-breaking; the historic implementations are
+ * retained as `*Reference` for differential testing
+ * (tests/kernels_test.cpp) and must stay byte-identical.
  */
 
 namespace apex::mining {
+
+/** Occurrence count up to which maximalIndependentSet() solves
+ * exactly; above it the min-degree greedy answers. */
+inline constexpr int kMisExactLimit = 28;
 
 /** Result of the independent-set computation. */
 struct MisResult {
@@ -46,12 +54,12 @@ struct MisResult {
  *
  * @param occurrences    Sorted node-id sets, one per occurrence.
  * @param exact_limit    Use the exact solver when the occurrence count
- *                       is at most this (default 28).
+ *                       is at most this.
  */
 MisResult
 maximalIndependentSet(const std::vector<std::vector<ir::NodeId>>
                           &occurrences,
-                      int exact_limit = 28);
+                      int exact_limit = kMisExactLimit);
 
 /**
  * Build the overlap adjacency used by maximalIndependentSet().
@@ -73,7 +81,7 @@ overlapGraphReference(
 MisResult
 maximalIndependentSetReference(
     const std::vector<std::vector<ir::NodeId>> &occurrences,
-    int exact_limit = 28);
+    int exact_limit = kMisExactLimit);
 
 } // namespace apex::mining
 

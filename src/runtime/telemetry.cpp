@@ -111,8 +111,13 @@ struct Ring {
 // --------------------------------------------------------------------
 
 struct TracingGlobal {
-    SpinLock lock; ///< Guards rings + collected + next_thread_ord.
+    SpinLock lock; ///< Guards rings + free_rings + collected + ord.
     std::vector<std::shared_ptr<Ring>> rings;
+    /** Rings of exited threads, awaiting adoption by a new thread.
+     * They stay in `rings`, so their undrained events still reach the
+     * collector; the handoff under `lock` keeps each ring single-
+     * producer. */
+    std::vector<std::shared_ptr<Ring>> free_rings;
     std::vector<SpanEvent> collected;
     std::uint64_t next_thread_ord = 0;
     std::atomic<long long> recorded{0};
@@ -133,7 +138,10 @@ tracingGlobal()
 
 // --------------------------------------------------------------------
 // Per-thread state.  The ring is shared_ptr'd so the global keeps it
-// alive (and drainable) after the owning thread exits.
+// alive (and drainable) after the owning thread exits; the exiting
+// thread parks it on the free list, so a process that keeps spawning
+// short-lived threads (apexd builds a pool per request) reuses rings
+// instead of growing by one per thread.
 // --------------------------------------------------------------------
 
 struct ThreadState {
@@ -143,6 +151,15 @@ struct ThreadState {
     int depth = 0;
     std::string cell;
     std::uint64_t trace_id = 0;
+
+    ~ThreadState()
+    {
+        if (!ring)
+            return;
+        TracingGlobal &g = tracingGlobal();
+        SpinGuard guard(g.lock);
+        g.free_rings.push_back(std::move(ring));
+    }
 };
 
 ThreadState &
@@ -157,10 +174,25 @@ threadRing(ThreadState &state)
 {
     if (!state.ring) {
         TracingGlobal &g = tracingGlobal();
-        auto ring = std::make_shared<Ring>(
-            g.ring_capacity.load(std::memory_order_relaxed));
+        const std::size_t capacity =
+            g.ring_capacity.load(std::memory_order_relaxed);
+        {
+            SpinGuard guard(g.lock);
+            state.ord = g.next_thread_ord++;
+            // Adopt an exited thread's ring of the current capacity.
+            auto it = std::find_if(
+                g.free_rings.rbegin(), g.free_rings.rend(),
+                [&](const std::shared_ptr<Ring> &r) {
+                    return r->slots.size() == capacity;
+                });
+            if (it != g.free_rings.rend()) {
+                state.ring = std::move(*it);
+                g.free_rings.erase(std::next(it).base());
+                return *state.ring;
+            }
+        }
+        auto ring = std::make_shared<Ring>(capacity);
         SpinGuard guard(g.lock);
-        state.ord = g.next_thread_ord++;
         g.rings.push_back(ring);
         state.ring = std::move(ring);
     }
@@ -491,6 +523,14 @@ setRingCapacityForTesting(std::size_t capacity)
 {
     tracingGlobal().ring_capacity.store(
         capacity == 0 ? 1 : capacity, std::memory_order_relaxed);
+}
+
+std::size_t
+ringCountForTesting()
+{
+    TracingGlobal &g = tracingGlobal();
+    SpinGuard guard(g.lock);
+    return g.rings.size();
 }
 
 namespace {

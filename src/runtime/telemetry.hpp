@@ -274,6 +274,11 @@ void resetTracingForTesting();
  * tests exercise wrap behavior with a tiny ring. */
 void setRingCapacityForTesting(std::size_t capacity);
 
+/** Span rings allocated so far.  Rings of exited threads are reused
+ * by new ones, so this tracks peak concurrent tracing threads, not
+ * threads ever started. */
+std::size_t ringCountForTesting();
+
 // --------------------------------------------------------------------
 // Metrics registry
 // --------------------------------------------------------------------

@@ -733,52 +733,57 @@ Server::runJob(const std::shared_ptr<SweepJob> &job)
     telemetry::ScopedTraceId trace_scope;
     if (request.trace_id != 0)
         trace_scope.set(request.trace_id);
-    APEX_SPAN("service.execute");
-    core::SweepOptions opts = sweepOptionsFor(request);
-    opts.trace_id = request.trace_id;
-    opts.jobs = options_.jobs;
-    opts.cache = cache_.get();
-    opts.cancel = &stop_;
-    // With a cache dir the daemon journals every sweep under a
-    // per-coalescing-key directory and always resumes: a daemon
-    // killed mid-sweep replays the completed cells when the same
-    // request is resubmitted after restart, so a self-healing client
-    // pays only for the missing cells the second time.
-    if (!options_.cache_dir.empty()) {
-        const std::string dir =
-            options_.cache_dir + "/sweep-" + hexKey(job->key);
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        if (!ec) {
-            opts.journal_dir = dir;
-            opts.resume = true;
-        }
-    }
-    // The budget starts when execution starts: queue wait is the
-    // price of admission, not of the sweep (matching the batch CLI,
-    // where the deadline clock starts after flag parsing).
-    const bool bounded = request.deadline_ms > 0;
-    if (bounded)
-        opts.deadline = Deadline::after(request.deadline_ms);
-    opts.progress = [this, &job](const core::SweepProgress &p) {
-        broadcastProgress(job, p);
-    };
-
-    // Variant construction observes the sweep deadline too, exactly
-    // like the batch path.
-    core::ExplorerOptions ex_options;
-    ex_options.miner.deadline = opts.deadline;
-    ex_options.merge.deadline = opts.deadline;
-    const core::Explorer explorer(model::defaultTech(), ex_options);
-    core::SweepOutcome outcome = core::runSweep(
-        apps_, explorer, model::defaultTech(), opts);
-
+    // The execute span closes before the report frames are queued: a
+    // client that asks for its trace right after the reply must find
+    // the span already recorded.
     SweepReply reply;
-    reply.deadline_bounded = bounded;
-    reply.deadline_expired = bounded && opts.deadline.expired();
-    reply.cancelled = stop_.load();
-    reply.entries = std::move(outcome.entries);
-    reply.report = std::move(outcome.report);
+    {
+        APEX_SPAN("service.execute");
+        core::SweepOptions opts = sweepOptionsFor(request);
+        opts.trace_id = request.trace_id;
+        opts.jobs = options_.jobs;
+        opts.cache = cache_.get();
+        opts.cancel = &stop_;
+        // With a cache dir the daemon journals every sweep under a
+        // per-coalescing-key directory and always resumes: a daemon
+        // killed mid-sweep replays the completed cells when the same
+        // request is resubmitted after restart, so a self-healing client
+        // pays only for the missing cells the second time.
+        if (!options_.cache_dir.empty()) {
+            const std::string dir =
+                options_.cache_dir + "/sweep-" + hexKey(job->key);
+            std::error_code ec;
+            std::filesystem::create_directories(dir, ec);
+            if (!ec) {
+                opts.journal_dir = dir;
+                opts.resume = true;
+            }
+        }
+        // The budget starts when execution starts: queue wait is the
+        // price of admission, not of the sweep (matching the batch CLI,
+        // where the deadline clock starts after flag parsing).
+        const bool bounded = request.deadline_ms > 0;
+        if (bounded)
+            opts.deadline = Deadline::after(request.deadline_ms);
+        opts.progress = [this, &job](const core::SweepProgress &p) {
+            broadcastProgress(job, p);
+        };
+
+        // Variant construction observes the sweep deadline too, exactly
+        // like the batch path.
+        core::ExplorerOptions ex_options;
+        ex_options.miner.deadline = opts.deadline;
+        ex_options.merge.deadline = opts.deadline;
+        const core::Explorer explorer(model::defaultTech(), ex_options);
+        core::SweepOutcome outcome = core::runSweep(
+            apps_, explorer, model::defaultTech(), opts);
+
+        reply.deadline_bounded = bounded;
+        reply.deadline_expired = bounded && opts.deadline.expired();
+        reply.cancelled = stop_.load();
+        reply.entries = std::move(outcome.entries);
+        reply.report = std::move(outcome.report);
+    }
 
     // Stop accepting coalesced joiners *before* publishing: a request
     // arriving after this point starts a fresh sweep instead of

@@ -4,11 +4,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "apps/apps.hpp"
 #include "core/bitset.hpp"
 #include "core/deadline.hpp"
+#include "core/explorer.hpp"
 #include "ir/builder.hpp"
 #include "merging/clique.hpp"
 #include "mining/isomorphism.hpp"
+#include "mining/miner.hpp"
 #include "mining/mis.hpp"
 
 /*
@@ -225,7 +228,8 @@ TEST(CliqueDifferentialTest, EmptyAndEdgelessGraphs) {
 }
 
 // ---------------------------------------------------------------------
-// MIS: inverted-index overlap + bitset exact search vs references.
+// MIS: bucket-row overlap, greedy and bitset exact search vs
+// references.
 
 using apex::mining::maximalIndependentSet;
 using apex::mining::maximalIndependentSetReference;
@@ -310,6 +314,66 @@ TEST(MisDifferentialTest, ChosenSetIsIndependentAndMaximal) {
             blocked = blocked || in[nb];
         EXPECT_TRUE(blocked) << "set not maximal at " << v;
     }
+}
+
+/** Occurrence sets shaped like the large patterns of real apps: every
+ * occurrence contains one of @p hubs shared nodes (ids 0 .. hubs-1;
+ * every fifth contains all of them) plus three nodes drawn from a
+ * sparse universe, so degrees still differ between occurrences. */
+std::vector<std::vector<apex::ir::NodeId>>
+hubOccurrences(int n, int hubs, std::uint32_t seed)
+{
+    Lcg lcg(seed);
+    std::vector<std::vector<apex::ir::NodeId>> occ(n);
+    for (int i = 0; i < n; ++i) {
+        if (i % 5 == 0)
+            for (int h = 0; h < hubs; ++h)
+                occ[i].push_back(h);
+        else
+            occ[i].push_back(i % hubs);
+        for (int k = 0; k < 3; ++k)
+            occ[i].push_back(static_cast<apex::ir::NodeId>(
+                hubs + lcg.next() % (4 * n)));
+        std::sort(occ[i].begin(), occ[i].end());
+        occ[i].erase(std::unique(occ[i].begin(), occ[i].end()),
+                     occ[i].end());
+    }
+    return occ;
+}
+
+TEST(MisDifferentialTest, HubShapedGreedyRegimeMatchesReference) {
+    for (int n : {500, 5000}) {
+        for (int hubs : {1, 2}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " hubs=" + std::to_string(hubs));
+            const auto occ = hubOccurrences(n, hubs, 7u * n + hubs);
+            const auto got = maximalIndependentSet(occ);
+            const auto ref = maximalIndependentSetReference(occ);
+            EXPECT_EQ(got.chosen, ref.chosen);
+            EXPECT_EQ(got.size, ref.size);
+        }
+    }
+}
+
+TEST(MisDifferentialTest, FastCornerGreedyPatternsMatchReference) {
+    const apex::apps::AppInfo app = apex::apps::fastCorner();
+    const auto patterns =
+        apex::mining::FrequentSubgraphMiner(
+            apex::core::ExplorerOptions{}.miner)
+            .mine(app.graph);
+    int greedy = 0;
+    for (const auto &p : patterns) {
+        if (p.occurrences.size() <=
+            static_cast<std::size_t>(apex::mining::kMisExactLimit))
+            continue;
+        ++greedy;
+        SCOPED_TRACE(p.code);
+        const auto got = maximalIndependentSet(p.occurrences);
+        const auto ref = maximalIndependentSetReference(p.occurrences);
+        EXPECT_EQ(got.chosen, ref.chosen);
+        EXPECT_EQ(got.size, ref.size);
+    }
+    EXPECT_GT(greedy, 0);
 }
 
 // ---------------------------------------------------------------------

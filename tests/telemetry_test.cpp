@@ -172,6 +172,24 @@ TEST(Span, RingWrapDropsInsteadOfBlocking)
     EXPECT_EQ(droppedEvents() - dropped_before, 6);
 }
 
+TEST(Span, ExitedThreadsRingsAreRecycled)
+{
+    TracingScope tracing;
+    // A daemon that builds a fresh pool per request: many short-lived
+    // threads, one after another.  Each exiting thread parks its ring
+    // for the next one, so the ring count stays flat while every
+    // span is still collected.
+    const std::size_t rings_before = ringCountForTesting();
+    constexpr int kThreads = 200;
+    for (int i = 0; i < kThreads; ++i) {
+        std::thread worker([i] { APEX_SPAN("t.recycled", {{"i", i}}); });
+        worker.join();
+    }
+    EXPECT_LE(ringCountForTesting(), rings_before + 1);
+    EXPECT_EQ(eventsNamed("t.recycled").size(),
+              static_cast<std::size_t>(kThreads));
+}
+
 TEST(ChromeTrace, EmitsValidEnvelopeAndEvents)
 {
     TracingScope tracing;
