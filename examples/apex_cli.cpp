@@ -17,14 +17,9 @@
  *               [--jobs N] [--cache-dir DIR] [--resume]
  *               [--deadline MS] [--cell-deadline MS]
  *               [--isolate thread|process] [--cell-retries N]
- *               [--miner-engine dfs|reference]
  *       Fault-tolerant evaluation of every built-in application
  *       across the variant recipe; failing pairs are reported and
- *       skipped rather than aborting the sweep.  --miner-engine
- *       (also accepted by analyze) selects the frequent-subgraph
- *       engine: the DFS-code/embedding-list miner (default) or the
- *       historic reference miner — outputs are byte-identical, so
- *       the flag exists for differential smoke and perf comparison.
+ *       skipped rather than aborting the sweep.
  *   apexc client <sweep|info|metrics|top> --socket PATH [--port N]
  *       Run the request against a running apexd instead of in
  *       process.  `client sweep` accepts the sweep pressure and
@@ -114,7 +109,6 @@
 #include <sstream>
 #include <thread>
 
-#include "core/deadline.hpp"
 #include "core/evaluate.hpp"
 #include "core/hetero.hpp"
 #include "core/status.hpp"
@@ -190,22 +184,6 @@ loadFailure(const Status &status)
     return exitCodeFor(status.code());
 }
 
-/** Parse an evaluation level name; unknown names are a usage error,
- * not a silent fallback. */
-Result<core::EvalLevel>
-parseLevel(const std::string &name)
-{
-    if (name == "map")
-        return core::EvalLevel::kPostMapping;
-    if (name == "pnr")
-        return core::EvalLevel::kPostPnr;
-    if (name == "pipe")
-        return core::EvalLevel::kPostPipelining;
-    return Status(ErrorCode::kInvalidArgument,
-                  "unknown --level '" + name +
-                      "' (expected map, pnr or pipe)");
-}
-
 const char *
 flagValue(int argc, char **argv, const char *flag)
 {
@@ -260,26 +238,6 @@ makePool(int jobs)
     if (n <= 1)
         return nullptr;
     return std::make_unique<runtime::ThreadPool>(n);
-}
-
-/** --miner-engine dfs|reference (default dfs).  The engines are
- * byte-identical (see tests/mining_differential_test.cpp); the flag
- * exists for differential smoke runs and perf comparisons. */
-Status
-parseMinerEngine(int argc, char **argv, mining::MinerOptions *miner)
-{
-    const char *s = flagValue(argc, argv, "--miner-engine");
-    if (s == nullptr)
-        return Status::okStatus();
-    if (std::strcmp(s, "dfs") == 0)
-        miner->engine = mining::MinerEngine::kDfsCode;
-    else if (std::strcmp(s, "reference") == 0)
-        miner->engine = mining::MinerEngine::kReference;
-    else
-        return Status(ErrorCode::kInvalidArgument,
-                      std::string("unknown --miner-engine '") + s +
-                          "' (expected dfs or reference)");
-    return Status::okStatus();
 }
 
 /** --cache-dir DIR => a disk-backed artifact cache; else null. */
@@ -339,9 +297,6 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
         options.miner.min_support = std::atoi(s);
     if (const char *s = flagValue(argc, argv, "--max-nodes"))
         options.miner.max_pattern_nodes = std::atoi(s);
-    if (Status s = parseMinerEngine(argc, argv, &options.miner);
-        !s.ok())
-        return loadFailure(std::move(s));
     const auto pool = makePool(requestedJobs(argc, argv));
     options.pool = pool.get();
     core::Explorer ex(model::defaultTech(), options);
@@ -381,7 +336,7 @@ cmdExplore(int argc, char **argv, const std::string &source)
     const char *level_flag = flagValue(argc, argv, "--level");
     const std::string kind = variant_flag ? variant_flag : "base";
     const std::string level_name = level_flag ? level_flag : "pipe";
-    const auto parsed_level = parseLevel(level_name);
+    const auto parsed_level = core::parseLevelName(level_name);
     if (!parsed_level)
         return loadFailure(parsed_level.status());
     const core::EvalLevel level = *parsed_level;
@@ -518,129 +473,105 @@ cmdDump(int argc, char **argv, const std::string &source)
     return 0;
 }
 
+/**
+ * The sweep flags batch `apexc sweep` and `apexc client sweep` share
+ * (--level, --isolate, --cell-retries, --deadline, --cell-deadline),
+ * as the request both modes map through service::sweepOptionsFor().
+ */
+service::SweepRequest
+sweepRequestFromFlags(int argc, char **argv)
+{
+    service::SweepRequest request;
+    if (const char *s = flagValue(argc, argv, "--level"))
+        request.level = s;
+    if (const char *s = isolateFlag(argc, argv))
+        request.isolate = s;
+    if (const char *s = flagValue(argc, argv, "--cell-retries"))
+        request.cell_retries = std::atoi(s);
+    // An explicit budget that is already spent (--deadline 0) must
+    // stay bounded, but 0 means "unbounded" on the wire: send it as
+    // an already-expired negative bound.
+    if (const char *s = flagValue(argc, argv, "--deadline")) {
+        const double ms = std::atof(s);
+        request.deadline_ms = ms > 0 ? ms : -1.0;
+    }
+    if (const char *s = flagValue(argc, argv, "--cell-deadline"))
+        request.cell_deadline_ms = std::atof(s);
+    return request;
+}
+
 int
 cmdSweep(int argc, char **argv)
 {
-    const char *level_flag = flagValue(argc, argv, "--level");
-    const auto parsed_level =
-        parseLevel(level_flag ? level_flag : "map");
-    if (!parsed_level)
-        return loadFailure(parsed_level.status());
-
-    core::SweepOptions options;
-    options.level = *parsed_level;
+    const service::SweepRequest request =
+        sweepRequestFromFlags(argc, argv);
+    core::ExplorerOptions ex_options;
+    auto options = service::sweepOptionsFor(request, &ex_options);
+    if (!options)
+        return loadFailure(options.status());
 
     // One pool serves both the sweep's task graph and the miner's
     // candidate expansion, so nested parallelism shares the lanes.
     const auto pool = makePool(requestedJobs(argc, argv));
     const auto cache = makeCache(argc, argv);
-    options.pool = pool.get();
-    options.cache = cache.get();
+    ex_options.pool = pool.get();
+    options->pool = pool.get();
+    options->cache = cache.get();
 
     // Durability: the journal lives next to the artifact cache.
     const char *cache_dir = flagValue(argc, argv, "--cache-dir");
     if (cache_dir != nullptr)
-        options.journal_dir = cache_dir;
-    options.resume = hasFlag(argc, argv, "--resume");
-    if (options.resume && cache_dir == nullptr)
+        options->journal_dir = cache_dir;
+    options->resume = hasFlag(argc, argv, "--resume");
+    if (options->resume && cache_dir == nullptr)
         return loadFailure(
             Status(ErrorCode::kInvalidArgument,
                    "--resume requires --cache-dir (the journal "
                    "lives in the cache directory)"));
 
-    // Pressure: wall-clock budgets for the sweep and for each cell.
-    bool deadline_bounded = false;
-    if (const char *s = flagValue(argc, argv, "--deadline")) {
-        options.deadline = Deadline::after(std::atof(s));
-        deadline_bounded = true;
-    }
-    if (const char *s = flagValue(argc, argv, "--cell-deadline"))
-        options.cell_deadline_ms = std::atof(s);
-
-    // Isolation: crash containment behind forked worker processes.
-    if (const char *s = isolateFlag(argc, argv)) {
-        if (std::strcmp(s, "process") == 0)
-            options.isolate = core::IsolateMode::kProcess;
-        else if (std::strcmp(s, "thread") != 0)
-            return loadFailure(Status(
-                ErrorCode::kInvalidArgument,
-                std::string("unknown --isolate mode '") + s +
-                    "' (expected thread or process)"));
-    }
-    if (const char *s = flagValue(argc, argv, "--cell-retries"))
-        options.cell_retries = std::atoi(s);
-
     // Cooperative shutdown: completed cells stay in the report (and
     // journal); unstarted ones are recorded as cancelled.
-    options.cancel = &g_interrupted;
+    options->cancel = &g_interrupted;
     std::signal(SIGINT, onInterrupt);
     std::signal(SIGTERM, onInterrupt);
-
-    core::ExplorerOptions ex_options;
-    ex_options.pool = pool.get();
-    // Variant construction (mining, merging) runs under the sweep
-    // deadline too — a sweep bound means the whole command.
-    ex_options.miner.deadline = options.deadline;
-    ex_options.merge.deadline = options.deadline;
-    if (Status s = parseMinerEngine(argc, argv, &ex_options.miner);
-        !s.ok())
-        return loadFailure(std::move(s));
     core::Explorer ex(model::defaultTech(), ex_options);
-    const auto apps_list = apps::allApps();
-    const auto outcome = core::runSweep(apps_list, ex,
-                                        model::defaultTech(),
-                                        options);
+    core::SweepOutcome outcome = core::runSweep(
+        apps::allApps(), ex, model::defaultTech(), *options);
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
+    const core::SweepRuntimeStats stats = outcome.stats;
+    const Status durability = outcome.durability;
+    const service::SweepReply reply = service::sweepReplyFor(
+        request, *options, std::move(outcome), g_interrupted.load());
 
     // Batch and service-client sweeps print through the same
     // renderer, so their stdout is byte-identical by construction.
-    std::fputs(service::renderSweepText(outcome.entries,
-                                        outcome.report)
-                   .c_str(),
-               stdout);
+    std::fputs(
+        service::renderSweepText(reply.entries, reply.report).c_str(),
+        stdout);
     if (hasFlag(argc, argv, "--diagnostics")) {
-        if (!outcome.report.diagnostics.empty())
-            std::fputs(
-                outcome.report.diagnostics.toString().c_str(),
-                stderr);
-        std::fprintf(stderr, "runtime: %s\n",
-                     outcome.stats.toString().c_str());
+        if (!reply.report.diagnostics.empty())
+            std::fputs(reply.report.diagnostics.toString().c_str(),
+                       stderr);
+        std::fprintf(stderr, "runtime: %s\n", stats.toString().c_str());
         // Per-cell stage-time breakdown (filled while --trace is on).
-        const std::string stage_table =
-            outcome.report.stageTimeTable();
+        const std::string stage_table = reply.report.stageTimeTable();
         if (!stage_table.empty()) {
             std::fputs("stage times (ms, from spans):\n", stderr);
             std::fputs(stage_table.c_str(), stderr);
         }
     }
 
-    // An interrupted sweep reports what completed, then exits with
-    // the documented cancellation code.
-    if (g_interrupted.load())
-        return exitCodeFor(ErrorCode::kCancelled);
     // A journal that could not keep its durability promise (disk
     // full mid-run) makes the printed report valid but the on-disk
     // checkpoint a lie; fail loudly so nobody --resumes against it.
-    if (!outcome.durability.ok()) {
+    // An interrupted sweep still exits with the cancellation code.
+    if (!durability.ok() && !reply.cancelled) {
         std::fprintf(stderr, "apexc: %s\n",
-                     outcome.durability.toString().c_str());
-        return exitCodeFor(outcome.durability.code());
+                     durability.toString().c_str());
+        return exitCodeFor(durability.code());
     }
-    // A bounded sweep that evaluated nothing because its deadline
-    // (possibly already expired at launch, e.g. --deadline 0) beat
-    // every cell exits with the timeout code — not with whichever
-    // failure happened to be recorded first.
-    if (outcome.report.evaluated == 0 && deadline_bounded &&
-        options.deadline.expired())
-        return exitCodeFor(ErrorCode::kTimeout);
-    // The sweep itself succeeds as long as something was evaluated;
-    // a sweep where nothing ran reports its first failure's code.
-    if (outcome.report.evaluated == 0 &&
-        !outcome.report.failures.empty())
-        return exitCodeFor(
-            outcome.report.failures.front().status.code());
-    return 0;
+    return service::sweepExitCode(reply);
 }
 
 /** Report a service-side failure and map it to an exit code. */
@@ -830,24 +761,15 @@ cmdClient(int argc, char **argv)
         return 2;
     }
 
-    service::SweepRequest request;
+    service::SweepRequest request = sweepRequestFromFlags(argc, argv);
+    if (const Status s = service::sweepOptionsFor(request).status();
+        !s.ok())
+        return loadFailure(s);
     request.id = 1;
     // Every client request gets a trace id, whether or not --trace
     // was given: the daemon stamps it on the request's spans either
     // way, so a trace can still be fetched after the fact.
     request.trace_id = service::mintTraceId();
-    if (const char *s = flagValue(argc, argv, "--level"))
-        request.level = s;
-    if (const auto level = parseLevel(request.level); !level)
-        return loadFailure(level.status());
-    if (const char *s = isolateFlag(argc, argv))
-        request.isolate = s;
-    if (const char *s = flagValue(argc, argv, "--cell-retries"))
-        request.cell_retries = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--deadline"))
-        request.deadline_ms = std::atof(s);
-    if (const char *s = flagValue(argc, argv, "--cell-deadline"))
-        request.cell_deadline_ms = std::atof(s);
     if (const char *s = flagValue(argc, argv, "--priority"))
         request.priority = std::atoi(s);
     request.want_progress = hasFlag(argc, argv, "--progress");

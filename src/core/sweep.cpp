@@ -7,9 +7,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <utility>
-
 #include <sstream>
+#include <utility>
 
 #include "core/journal.hpp"
 #include "ir/signature.hpp"
@@ -141,10 +140,7 @@ sweepFingerprint(const std::vector<apps::AppInfo> &apps,
     f.mix(static_cast<std::uint64_t>(x.miner.max_patterns_per_level));
     f.mix(static_cast<std::uint64_t>(x.miner.metric));
     // max_embeddings shapes results (truncated support lists), so it
-    // is part of the identity; miner.engine deliberately is NOT — the
-    // engines are byte-identical (enforced by the differential tests),
-    // so journals, caches and coalesced requests are shareable across
-    // them.
+    // is part of the identity.
     f.mix(static_cast<std::uint64_t>(x.miner.max_embeddings));
     f.mix(static_cast<std::uint64_t>(x.min_mis));
     f.mix(static_cast<std::uint64_t>(x.max_merged_subgraphs));
@@ -160,6 +156,7 @@ sweepFingerprint(const std::vector<apps::AppInfo> &apps,
     }
     return f.digest();
 }
+
 
 namespace {
 
@@ -190,39 +187,10 @@ evaluateCellGuarded(const apps::AppInfo &app, const PeVariant &variant,
                     const EvalOptions &eval_opts,
                     const SweepOptions &options)
 {
-    EvalResult r;
-    const bool cell_bounded = options.cell_deadline_ms > 0;
-    EvalOptions local = eval_opts;
-    local.deadline =
-        cell_bounded
-            ? Deadline::earliest(
-                  options.deadline,
-                  Deadline::after(options.cell_deadline_ms))
-            : options.deadline;
-    try {
-        r = evaluate(app, variant, options.level, tech, local);
-    } catch (const ApexError &e) {
-        r.status = e.status().withContext(
-            "evaluating '" + app.name + "' on '" + variant.name +
-            "'");
-        r.error = r.status.toString();
-    } catch (const std::exception &e) {
-        r.status =
-            Status(ErrorCode::kInternal,
-                   std::string("unexpected exception: ") + e.what());
-        r.error = r.status.toString();
-    }
-    // Graceful degradation: the *cell* budget ran out but the sweep
-    // still has time — salvage the cell with the cheap knobs instead
-    // of failing.
-    if (!r.success && r.status.code() == ErrorCode::kTimeout &&
-        cell_bounded && !options.deadline.expired()) {
-        EvalResult first = std::move(r);
-        r = EvalResult{};
+    const auto attempt = [&](const EvalOptions &opts) {
+        EvalResult r;
         try {
-            r = evaluate(app, variant, options.level, tech,
-                         degradedOptions(eval_opts,
-                                         options.deadline));
+            r = evaluate(app, variant, options.level, tech, opts);
         } catch (const ApexError &e) {
             r.status = e.status().withContext(
                 "evaluating '" + app.name + "' on '" + variant.name +
@@ -234,6 +202,24 @@ evaluateCellGuarded(const apps::AppInfo &app, const PeVariant &variant,
                 std::string("unexpected exception: ") + e.what());
             r.error = r.status.toString();
         }
+        return r;
+    };
+    const bool cell_bounded = options.cell_deadline_ms > 0;
+    EvalOptions local = eval_opts;
+    local.deadline =
+        cell_bounded
+            ? Deadline::earliest(
+                  options.deadline,
+                  Deadline::after(options.cell_deadline_ms))
+            : options.deadline;
+    EvalResult r = attempt(local);
+    // Graceful degradation: the *cell* budget ran out but the sweep
+    // still has time — salvage the cell with the cheap knobs instead
+    // of failing.
+    if (!r.success && r.status.code() == ErrorCode::kTimeout &&
+        cell_bounded && !options.deadline.expired()) {
+        EvalResult first = std::move(r);
+        r = attempt(degradedOptions(eval_opts, options.deadline));
         if (r.success)
             r.degraded = true;
         r.pnr_attempts += first.pnr_attempts;
@@ -331,6 +317,505 @@ journalApp(SweepJournal &journal, int index, AppSlot &slot)
     journal.appendApp(rec);
 }
 
+/**
+ * What one runSweep call threads through its four stages — replay,
+ * plan, execute, assemble: the caller's inputs, the per-app slots
+ * (each written only by its own tasks, or by the sequential stages),
+ * and the journal and counters the cell-completion path feeds.
+ */
+struct SweepState {
+    const std::vector<apps::AppInfo> &apps;
+    const Explorer &explorer;
+    const model::TechModel &tech;
+    const SweepOptions &options;
+    EvalOptions eval_opts; ///< options.eval plus options.cache.
+    std::vector<AppSlot> slots;
+    SweepJournal journal{};
+    SweepCounters &counters = sweepCounters();
+    std::atomic<int> progress_done{0}; ///< Fresh cells finished.
+};
+
+bool
+cancelRequested(const SweepOptions &options)
+{
+    return options.cancel != nullptr && options.cancel->load();
+}
+
+/** Whether @p cell still needs a fresh evaluation — the one gate both
+ * isolate modes pass every cell through.  Replayed cells, cells with
+ * no variant and a cancelled sweep answer no (assembly records the
+ * cancellation); an expired sweep deadline answers no and marks the
+ * cell deadline-skipped. */
+bool
+cellToEvaluate(const SweepOptions &options, Cell &cell)
+{
+    if (cell.ran || !cell.variant.has_value() ||
+        cancelRequested(options))
+        return false;
+    if (options.deadline.expired()) {
+        cell.deadline_skipped = true;
+        return false;
+    }
+    return true;
+}
+
+/** The one cell-completion path, for either isolate mode: store
+ * @p result in the slot, journal it under the supervisor's key,
+ * report progress and count the work.  Thread-safe across cells (the
+ * journal serializes appends; each cell is finished once). */
+void
+finishCell(SweepState &st, std::size_t app, int j, EvalResult result,
+           long eval_us)
+{
+    Cell &cell = st.slots[app].cells[j];
+    cell.ran = true;
+    cell.result = std::move(result);
+    st.counters.tasks.add(1);
+    st.counters.eval_us.add(eval_us);
+    SweepJournal::CellRecord rec;
+    rec.app = static_cast<int>(app);
+    rec.cell = j;
+    rec.variant = cell.name;
+    rec.result = cell.result;
+    st.journal.appendCell(rec);
+    if (!st.options.progress)
+        return;
+    SweepProgress p;
+    p.done = st.progress_done.fetch_add(1) + 1;
+    p.total = static_cast<int>(st.apps.size()) * kJournalCellsPerApp;
+    p.app = st.apps[app].name;
+    p.variant = cell.name;
+    st.options.progress(p);
+}
+
+/**
+ * Replay: open the journal (when configured) and restore its outcomes
+ * into the slots, sequentially, before any task runs.  A
+ * fully-journaled app skips variant construction entirely; a
+ * partially-journaled one re-runs the (deterministic) build to
+ * reconstruct the variants its missing cells need, but keeps the
+ * replayed evaluations.
+ *
+ * @return the journal-open status.  A failure leaves the journal
+ * inactive; the sweep still runs (completed work is worth reporting),
+ * and runSweep surfaces the broken durability promise in
+ * SweepOutcome::durability.
+ */
+Status
+replayJournal(SweepState &st)
+{
+    Status opened;
+    if (!st.options.journal_dir.empty()) {
+        opened = st.journal
+                     .open(st.options.journal_dir,
+                           sweepFingerprint(st.apps, st.explorer,
+                                            st.tech, st.options),
+                           st.apps.size(), st.options.resume)
+                     .withContext("opening sweep journal in '" +
+                                  st.options.journal_dir + "'");
+    }
+    for (std::size_t i = 0; i < st.apps.size(); ++i) {
+        const SweepJournal::AppRecord *rec = st.journal.appRecord(i);
+        if (rec == nullptr)
+            continue;
+        AppSlot &slot = st.slots[i];
+        slot.journaled = true;
+        slot.validate_status = rec->validate_status;
+        slot.spec_failed = rec->spec_failed;
+        slot.spec_name = rec->spec_name;
+        slot.spec_status = rec->spec_status;
+        bool missing_eval = false;
+        for (int j = 0; j < kJournalCellsPerApp; ++j) {
+            const SweepJournal::CellInfo &info = rec->cells[j];
+            Cell &cell = slot.cells[j];
+            cell.present = info.has_variant;
+            cell.name = info.variant;
+            cell.non_optimal_merges = info.non_optimal_merges;
+            cell.merge_timeouts = info.merge_timeouts;
+            cell.mine_capped_levels = info.mine_capped_levels;
+            if (!info.has_variant)
+                continue;
+            const SweepJournal::CellRecord *done =
+                st.journal.cellRecord(i, j);
+            if (done != nullptr) {
+                cell.ran = true;
+                cell.replayed = true;
+                cell.result = done->result;
+            } else {
+                missing_eval = true;
+            }
+        }
+        if (!missing_eval) {
+            slot.skip_build = true;
+            slot.build_ran = true;
+        }
+    }
+    return opened;
+}
+
+/** Build task body: validate app @p i and construct its recipe
+ * variants into its slot, then journal the build outcome. */
+void
+buildApp(SweepState &st, std::size_t i, runtime::TaskGraph &graph)
+{
+    const apps::AppInfo &app = st.apps[i];
+    const SweepOptions &options = st.options;
+    AppSlot &slot = st.slots[i];
+    if (slot.skip_build)
+        return;
+    if (cancelRequested(options)) {
+        graph.cancel();
+        return;
+    }
+    if (options.deadline.expired()) {
+        slot.deadline_skipped = true;
+        return;
+    }
+    telemetry::ScopedCell cell_scope;
+    if (telemetry::tracingEnabled())
+        cell_scope.set(app.name);
+    // Pool lanes do not inherit the caller's trace id; each task
+    // re-installs it for its own spans.
+    telemetry::ScopedTraceId trace_scope;
+    if (options.trace_id != 0)
+        trace_scope.set(options.trace_id);
+    APEX_SPAN("build", {{"app", app.name}});
+    telemetry::StageTimer timer(telemetry::histogram("apex.build.ms"));
+    const Clock::time_point t0 = Clock::now();
+    st.counters.tasks.add(1);
+    slot.build_ran = true;
+
+    // Boundary validation: a corrupt application skips only itself,
+    // never the sweep.
+    if (Status s = ir::validate(app.graph); !s.ok()) {
+        slot.validate_status = std::move(s).withContext(
+            "validating application '" + app.name + "'");
+    } else {
+        if (options.include_baseline)
+            setVariant(slot.cells[kBaseline],
+                       st.explorer.baselineVariant());
+        if (options.include_subset)
+            setVariant(slot.cells[kSubset],
+                       st.explorer.subsetVariant(app));
+        if (options.include_specialized) {
+            const int k = st.explorer.options().max_merged_subgraphs;
+            auto v = st.explorer.trySpecializedVariant(app, k);
+            if (v.ok()) {
+                setVariant(slot.cells[kSpecialized],
+                           std::move(v).value());
+            } else {
+                slot.spec_failed = true;
+                slot.spec_name =
+                    "pe" + std::to_string(k + 1) + "_" + app.name;
+                slot.spec_status = v.status();
+            }
+        }
+    }
+    journalApp(st.journal, static_cast<int>(i), slot);
+    st.counters.build_us.add(elapsedUs(t0));
+}
+
+/** Eval task body (in-process isolation): evaluate cell @p j of app
+ * @p i on the calling lane. */
+void
+evaluateInProcess(SweepState &st, std::size_t i, int j)
+{
+    Cell &cell = st.slots[i].cells[j];
+    if (!cellToEvaluate(st.options, cell))
+        return;
+    telemetry::ScopedTraceId trace_scope;
+    if (st.options.trace_id != 0)
+        trace_scope.set(st.options.trace_id);
+    const Clock::time_point t0 = Clock::now();
+    EvalResult r = evaluateCellGuarded(st.apps[i], *cell.variant,
+                                       st.tech, st.eval_opts,
+                                       st.options);
+    finishCell(st, i, j, std::move(r), elapsedUs(t0));
+}
+
+/**
+ * Plan: one build task per app and — in-process isolation only — one
+ * eval task per recipe cell, depending only on its own app's build,
+ * so builds and evaluations of different apps overlap (no barrier).
+ * Every task writes only its own slot; ordering-sensitive work waits
+ * for assembly.
+ */
+void
+planTasks(SweepState &st, runtime::TaskGraph &graph)
+{
+    for (std::size_t i = 0; i < st.apps.size(); ++i) {
+        const std::string &name = st.apps[i].name;
+        const runtime::TaskId build =
+            graph.add("build:" + name, [&st, &graph, i]() -> Status {
+                buildApp(st, i, graph);
+                return Status::okStatus();
+            });
+        // Forked workers evaluate only after every build has run
+        // (executeForked).
+        if (st.options.isolate != IsolateMode::kInProcess)
+            continue;
+        for (int j = 0; j < kJournalCellsPerApp; ++j)
+            graph.add(
+                "eval:" + name + "#" + std::to_string(j),
+                [&st, i, j]() -> Status {
+                    evaluateInProcess(st, i, j);
+                    return Status::okStatus();
+                },
+                {build});
+    }
+}
+
+/** The durable verdict for a cell whose worker died on every allowed
+ * attempt (or answered undecodably, a protocol-level crash): a
+ * kWorkerCrashed failure naming the death cause, journaled like any
+ * outcome so --resume replays it instead of re-poisoning a worker. */
+EvalResult
+quarantinedResult(const runtime::WorkerTaskOutcome &o)
+{
+    const runtime::WorkerDeathCause cause =
+        o.cause == runtime::WorkerDeathCause::kNone
+            ? runtime::WorkerDeathCause::kCrash
+            : o.cause;
+    std::ostringstream msg;
+    msg << "worker died evaluating this cell ("
+        << runtime::workerDeathCauseName(cause) << "); quarantined after "
+        << o.attempts << (o.attempts == 1 ? " attempt" : " attempts");
+    EvalResult r;
+    r.success = false;
+    r.pnr_attempts = std::max(1, o.attempts);
+    r.status = Status(ErrorCode::kWorkerCrashed, msg.str());
+    r.error = r.status.toString();
+    return r;
+}
+
+/**
+ * Execute, process isolation: dispatch every cell still to evaluate
+ * to a supervised pool of forked workers.  Workers fork *after* the
+ * builds, so fork-COW hands every child the built variants for free;
+ * each child evaluates the cells it is sent and answers with the
+ * journal's cell-record payload, checksummed end to end.  A worker
+ * death is survived: up to cell_retries re-dispatches, then the cell
+ * is quarantined and the sweep goes on.
+ */
+void
+executeForked(SweepState &st, SweepRuntimeStats *stats)
+{
+    struct WorkItem {
+        std::size_t app;
+        int cell;
+    };
+    std::vector<WorkItem> work;
+    std::vector<std::string> payloads;
+    for (std::size_t i = 0; i < st.apps.size(); ++i)
+        for (int j = 0; j < kJournalCellsPerApp; ++j)
+            if (cellToEvaluate(st.options, st.slots[i].cells[j])) {
+                work.push_back({i, j});
+                payloads.push_back(std::to_string(i) + " " +
+                                   std::to_string(j));
+            }
+    if (work.empty())
+        return; // Nothing to run forks no workers.
+
+    // Children must not append to the shared artifact cache:
+    // concurrent processes interleaving writes through one inherited
+    // fd would corrupt it.  Results are identical either way (the
+    // cache is a pure memoization).
+    EvalOptions child_eval = st.eval_opts;
+    child_eval.cache = nullptr;
+    const auto handler = [&st,
+                          &child_eval](const std::string &task)
+        -> std::string {
+        std::istringstream is(task);
+        std::size_t i = 0;
+        int j = 0;
+        if (!(is >> i >> j) || i >= st.apps.size() || j < 0 ||
+            j >= kJournalCellsPerApp)
+            throw ApexError(Status(ErrorCode::kInternal,
+                                   "malformed worker task '" + task +
+                                       "'"));
+        const Cell &cell = st.slots[i].cells[j];
+        SweepJournal::CellRecord rec;
+        rec.app = static_cast<int>(i);
+        rec.cell = j;
+        rec.variant = cell.name;
+        rec.result = evaluateCellGuarded(st.apps[i], *cell.variant,
+                                         st.tech, child_eval,
+                                         st.options);
+        return SweepJournal::encodeCellRecordPayload(rec);
+    };
+    runtime::WorkerPoolOptions wopts;
+    wopts.workers = stats->jobs;
+    wopts.task_retries = st.options.cell_retries;
+    wopts.heartbeat_ms = st.options.worker_heartbeat_ms;
+    wopts.liveness_timeout_ms = st.options.worker_liveness_timeout_ms;
+    wopts.cancel = st.options.cancel;
+    wopts.trace_id = st.options.trace_id;
+    runtime::WorkerPool workers(handler, wopts);
+    const std::vector<runtime::WorkerTaskOutcome> outcomes =
+        workers.run(payloads);
+
+    for (std::size_t k = 0; k < work.size(); ++k) {
+        const runtime::WorkerTaskOutcome &o = outcomes[k];
+        if (o.fate == runtime::TaskFate::kCancelled)
+            continue; // Assembly records the cancellation.
+        // Trust the payload's result, not its indices: the journal
+        // key is the supervisor's.
+        SweepJournal::CellRecord decoded;
+        EvalResult r =
+            o.fate == runtime::TaskFate::kDone &&
+                    SweepJournal::decodeCellRecordPayload(o.response,
+                                                          &decoded)
+                ? std::move(decoded.result)
+                : quarantinedResult(o);
+        finishCell(st, work[k].app, work[k].cell, std::move(r),
+                   static_cast<long>(o.wall_ms * 1e3));
+    }
+    stats->worker_restarts = workers.stats().restarts;
+    stats->worker_retries = workers.stats().retries;
+    stats->worker_quarantined = workers.stats().quarantined;
+}
+
+/** Surface @p cell's build-time truncations as warnings: clique
+ * searches that stopped before optimality and mining frontiers cut at
+ * max_patterns_per_level — both previously silent, both able to
+ * change the variant.  The diagnostics are part of the byte-identical
+ * report; the runtime stats count only what happened *this run* (a
+ * fully-replayed app never re-ran its merges or mining, so recounting
+ * its journaled flags would double-count under --resume). */
+void
+reportBuildWarnings(SweepState &st, const AppSlot &slot,
+                    const Cell &cell, const std::string &scope,
+                    SweepOutcome *out)
+{
+    if (cell.non_optimal_merges > 0) {
+        DiagnosticRecord w;
+        w.severity = Severity::kWarning;
+        w.stage = "merge";
+        w.code = cell.merge_timeouts > 0 ? ErrorCode::kTimeout
+                                         : ErrorCode::kBudgetExhausted;
+        w.message =
+            std::to_string(cell.non_optimal_merges) +
+            " datapath merge(s) used a non-optimal clique "
+            "(budget exhausted" +
+            (cell.merge_timeouts > 0
+                 ? ", " + std::to_string(cell.merge_timeouts) +
+                       " by deadline"
+                 : std::string()) +
+            "); the PE may spend more area than necessary";
+        w.scope = scope;
+        out->report.diagnostics.report(std::move(w));
+        if (!slot.skip_build) {
+            out->stats.non_optimal_cliques += cell.non_optimal_merges;
+            st.counters.non_optimal_cliques.add(
+                cell.non_optimal_merges);
+        }
+    }
+    if (cell.mine_capped_levels > 0) {
+        DiagnosticRecord w;
+        w.severity = Severity::kWarning;
+        w.stage = "mine";
+        w.code = ErrorCode::kBudgetExhausted;
+        w.message =
+            "mining truncated " +
+            std::to_string(cell.mine_capped_levels) +
+            " level(s) at max_patterns_per_level (" +
+            std::to_string(
+                st.explorer.options().miner.max_patterns_per_level) +
+            "); candidate patterns were dropped and a better "
+            "subgraph may have been missed — raise the cap "
+            "or min_support to mine exhaustively";
+        w.scope = scope;
+        out->report.diagnostics.report(std::move(w));
+        if (!slot.skip_build) {
+            out->stats.mine_capped_levels += cell.mine_capped_levels;
+            st.counters.mine_capped_levels.add(
+                cell.mine_capped_levels);
+        }
+    }
+}
+
+/**
+ * Assemble: one sequential pass in (app, recipe-cell) order reproduces
+ * the sequential driver's report byte for byte — same entry order,
+ * same failure order, same diagnostics scoping — whatever the job
+ * count or isolate mode.  Replayed cells take exactly the same path
+ * as freshly-evaluated ones, which is what makes a resumed report
+ * byte-identical.
+ */
+void
+assemble(SweepState &st, SweepOutcome *out)
+{
+    for (std::size_t i = 0; i < st.apps.size(); ++i) {
+        const std::string &app = st.apps[i].name;
+        AppSlot &slot = st.slots[i];
+        if (!slot.build_ran) {
+            recordFailure(
+                out->report, app, "",
+                slot.deadline_skipped
+                    ? Status(ErrorCode::kTimeout,
+                             "sweep deadline expired before variant "
+                             "construction")
+                    : Status(ErrorCode::kCancelled,
+                             "sweep cancelled before variant "
+                             "construction"),
+                1);
+            continue;
+        }
+        if (!slot.validate_status.ok()) {
+            recordFailure(out->report, app, "",
+                          std::move(slot.validate_status), 1);
+            continue;
+        }
+        if (slot.spec_failed)
+            recordFailure(out->report, app, slot.spec_name,
+                          std::move(slot.spec_status), 1);
+
+        for (Cell &cell : slot.cells) {
+            if (!cell.present)
+                continue;
+            const std::string &vname = cell.name;
+            reportBuildWarnings(st, slot, cell, app + "/" + vname, out);
+            if (!cell.ran) {
+                recordFailure(
+                    out->report, app, vname,
+                    cell.deadline_skipped
+                        ? Status(ErrorCode::kTimeout,
+                                 "sweep deadline expired before "
+                                 "evaluation")
+                        : Status(ErrorCode::kCancelled,
+                                 "sweep cancelled before evaluation"),
+                    1);
+                continue;
+            }
+            EvalResult &r = cell.result;
+            out->report.diagnostics.merge(r.diagnostics,
+                                          app + "/" + vname);
+            if (r.success) {
+                ++out->report.evaluated;
+                if (r.degraded) {
+                    // The report mirrors the cell's durable outcome
+                    // (byte-identical under --resume), but the stats
+                    // count degradations *this run*: a cell replayed
+                    // from the journal did not degrade again.
+                    ++out->report.degraded;
+                    if (!cell.replayed) {
+                        ++out->stats.cells_degraded;
+                        st.counters.cells_degraded.add(1);
+                    }
+                }
+                out->entries.push_back({app, vname, std::move(r)});
+            } else {
+                Status s = r.status.ok()
+                               ? Status(ErrorCode::kEvaluationFailed,
+                                        r.error)
+                               : r.status;
+                recordFailure(out->report, app, vname, std::move(s),
+                              r.pnr_attempts);
+            }
+        }
+    }
+}
+
 } // namespace
 
 std::string
@@ -350,6 +835,32 @@ SweepRuntimeStats::toString() const
                   worker_restarts, worker_retries,
                   worker_quarantined, build_ms, eval_ms, wall_ms);
     return buf;
+}
+
+Result<EvalLevel>
+parseLevelName(const std::string &name)
+{
+    if (name == "map")
+        return EvalLevel::kPostMapping;
+    if (name == "pnr")
+        return EvalLevel::kPostPnr;
+    if (name == "pipe")
+        return EvalLevel::kPostPipelining;
+    return Status(ErrorCode::kInvalidArgument,
+                  "unknown --level '" + name +
+                      "' (expected map, pnr or pipe)");
+}
+
+Result<IsolateMode>
+parseIsolateName(const std::string &name)
+{
+    if (name == "thread")
+        return IsolateMode::kInProcess;
+    if (name == "process")
+        return IsolateMode::kProcess;
+    return Status(ErrorCode::kInvalidArgument,
+                  "unknown --isolate mode '" + name +
+                      "' (expected thread or process)");
 }
 
 SweepOutcome
@@ -391,501 +902,38 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     }
     out.stats.jobs = pool != nullptr ? pool->parallelism() : 1;
 
-    EvalOptions eval_opts = options.eval;
+    SweepState st{apps, explorer, tech, options, options.eval,
+                  std::vector<AppSlot>(apps.size())};
     if (options.cache != nullptr)
-        eval_opts.cache = options.cache;
-    runtime::ArtifactCache *cache = eval_opts.cache;
+        st.eval_opts.cache = options.cache;
+    runtime::ArtifactCache *cache = st.eval_opts.cache;
     const runtime::CacheStats cache_before =
         cache != nullptr ? cache->stats() : runtime::CacheStats{};
     const runtime::PoolStats pool_before =
         pool != nullptr ? pool->stats() : runtime::PoolStats{};
-
-    const std::atomic<bool> *cancel = options.cancel;
-    std::vector<AppSlot> slots(apps.size());
-
-    // Progress reporting: cells completed so far, against the recipe
-    // upper bound.  Shared by the in-process eval tasks and the
-    // worker-pool integration loop below.
-    std::atomic<int> progress_done{0};
-    const int progress_total = static_cast<int>(apps.size()) * 3;
-    const auto reportProgress = [&options, &progress_done,
-                                 progress_total](
-                                    const std::string &app,
-                                    const std::string &variant) {
-        if (!options.progress)
-            return;
-        SweepProgress p;
-        p.done = progress_done.fetch_add(1) + 1;
-        p.total = progress_total;
-        p.app = app;
-        p.variant = variant;
-        options.progress(p);
-    };
-    SweepCounters &counters = sweepCounters();
+    SweepCounters &counters = st.counters;
     const long long tasks_before = counters.tasks.value();
     const long long build_us_before = counters.build_us.value();
     const long long eval_us_before = counters.eval_us.value();
 
-    // --- Durability: open (and maybe replay) the sweep journal ------
-    // An open failure leaves the journal inactive; the sweep still
-    // runs (completed work is worth reporting), but the broken
-    // durability promise is surfaced in out.durability so the CLI
-    // can fail loudly instead of letting the user believe the run
-    // was checkpointed.
-    SweepJournal journal;
-    Status durability;
-    if (!options.journal_dir.empty()) {
-        durability =
-            journal
-                .open(options.journal_dir,
-                      sweepFingerprint(apps, explorer, tech, options),
-                      apps.size(), options.resume)
-                .withContext("opening sweep journal in '" +
-                             options.journal_dir + "'");
-    }
+    // --- Replay -----------------------------------------------------
+    Status durability = replayJournal(st);
+    out.stats.cells_replayed = st.journal.replayedCells();
+    counters.cells_replayed.add(st.journal.replayedCells());
 
-    // Restore journaled outcomes sequentially, before any task runs.
-    // A fully-journaled app skips variant construction entirely; a
-    // partially-journaled one re-runs the (deterministic) build to
-    // reconstruct the variants its missing cells need, but keeps the
-    // replayed evaluations.
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const SweepJournal::AppRecord *rec = journal.appRecord(i);
-        if (rec == nullptr)
-            continue;
-        AppSlot &slot = slots[i];
-        slot.journaled = true;
-        slot.validate_status = rec->validate_status;
-        slot.spec_failed = rec->spec_failed;
-        slot.spec_name = rec->spec_name;
-        slot.spec_status = rec->spec_status;
-        bool missing_eval = false;
-        for (int j = 0; j < kJournalCellsPerApp; ++j) {
-            const SweepJournal::CellInfo &info = rec->cells[j];
-            Cell &cell = slot.cells[j];
-            cell.present = info.has_variant;
-            cell.name = info.variant;
-            cell.non_optimal_merges = info.non_optimal_merges;
-            cell.merge_timeouts = info.merge_timeouts;
-            cell.mine_capped_levels = info.mine_capped_levels;
-            if (!info.has_variant)
-                continue;
-            const SweepJournal::CellRecord *done =
-                journal.cellRecord(i, j);
-            if (done != nullptr) {
-                cell.ran = true;
-                cell.replayed = true;
-                cell.result = done->result;
-            } else {
-                missing_eval = true;
-            }
-        }
-        if (!missing_eval) {
-            slot.skip_build = true;
-            slot.build_ran = true;
-        }
-    }
-    out.stats.cells_replayed = journal.replayedCells();
-    counters.cells_replayed.add(journal.replayedCells());
-
-    // --- Fan out: one build task per app, one eval task per cell ---
-    // Every task writes only its own slot; all ordering-sensitive
-    // work (report assembly) happens sequentially afterwards.
+    // --- Plan + execute ---------------------------------------------
+    // Expected per-cell failures live in the slots, so a non-ok run()
+    // can only mean cancellation — which assembly reads off the
+    // ran/build_ran flags directly.
     runtime::TaskGraph graph(pool);
     graph.setTraceId(options.trace_id);
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const apps::AppInfo &app = apps[i];
-        AppSlot &slot = slots[i];
-        const int app_index = static_cast<int>(i);
-
-        const runtime::TaskId build = graph.add(
-            "build:" + app.name,
-            [&options, &explorer, &graph, &app, &slot, cancel,
-             &counters, &journal, app_index]() -> Status {
-                if (slot.skip_build)
-                    return Status::okStatus();
-                if (cancel != nullptr && cancel->load()) {
-                    graph.cancel();
-                    return Status::okStatus();
-                }
-                if (options.deadline.expired()) {
-                    slot.deadline_skipped = true;
-                    return Status::okStatus();
-                }
-                telemetry::ScopedCell cell_scope;
-                if (telemetry::tracingEnabled())
-                    cell_scope.set(app.name);
-                // Pool lanes do not inherit the caller's trace id;
-                // each task re-installs it for its own spans.
-                telemetry::ScopedTraceId trace_scope;
-                if (options.trace_id != 0)
-                    trace_scope.set(options.trace_id);
-                APEX_SPAN("build", {{"app", app.name}});
-                telemetry::StageTimer timer(
-                    telemetry::histogram("apex.build.ms"));
-                const Clock::time_point t0 = Clock::now();
-                counters.tasks.add(1);
-                slot.build_ran = true;
-
-                // Boundary validation: a corrupt application skips
-                // only itself, never the sweep.
-                if (Status s = ir::validate(app.graph); !s.ok()) {
-                    slot.validate_status =
-                        std::move(s).withContext(
-                            "validating application '" + app.name +
-                            "'");
-                    journalApp(journal, app_index, slot);
-                    counters.build_us.add(elapsedUs(t0));
-                    return Status::okStatus();
-                }
-                if (options.include_baseline)
-                    setVariant(slot.cells[kBaseline],
-                               explorer.baselineVariant());
-                if (options.include_subset)
-                    setVariant(slot.cells[kSubset],
-                               explorer.subsetVariant(app));
-                if (options.include_specialized) {
-                    const int k =
-                        explorer.options().max_merged_subgraphs;
-                    auto v = explorer.trySpecializedVariant(app, k);
-                    if (v.ok()) {
-                        setVariant(slot.cells[kSpecialized],
-                                   std::move(v).value());
-                    } else {
-                        slot.spec_failed = true;
-                        slot.spec_name = "pe" +
-                                         std::to_string(k + 1) +
-                                         "_" + app.name;
-                        slot.spec_status = v.status();
-                    }
-                }
-                journalApp(journal, app_index, slot);
-                counters.build_us.add(elapsedUs(t0));
-                return Status::okStatus();
-            });
-
-        // Process isolation runs evaluations behind the worker pool
-        // *after* the builds; only the in-process mode fans them out
-        // as graph tasks here.
-        if (options.isolate != IsolateMode::kInProcess)
-            continue;
-        for (int j = 0; j < 3; ++j) {
-            Cell &cell = slot.cells[j];
-            graph.add(
-                "eval:" + app.name + "#" + std::to_string(j),
-                [&options, &graph, &app, &cell, cancel, &eval_opts,
-                 &tech, &counters, &journal, &reportProgress,
-                 app_index, j]() -> Status {
-                    if (cell.ran) // replayed from the journal
-                        return Status::okStatus();
-                    if (cancel != nullptr && cancel->load()) {
-                        graph.cancel();
-                        return Status::okStatus();
-                    }
-                    if (!cell.variant.has_value())
-                        return Status::okStatus();
-                    if (options.deadline.expired()) {
-                        cell.deadline_skipped = true;
-                        return Status::okStatus();
-                    }
-                    telemetry::ScopedTraceId trace_scope;
-                    if (options.trace_id != 0)
-                        trace_scope.set(options.trace_id);
-                    const Clock::time_point t0 = Clock::now();
-                    counters.tasks.add(1);
-                    cell.ran = true;
-                    cell.result = evaluateCellGuarded(
-                        app, *cell.variant, tech, eval_opts,
-                        options);
-                    EvalResult &r = cell.result;
-                    counters.eval_us.add(elapsedUs(t0));
-                    SweepJournal::CellRecord rec;
-                    rec.app = app_index;
-                    rec.cell = j;
-                    rec.variant = cell.name;
-                    rec.result = r;
-                    journal.appendCell(rec);
-                    reportProgress(app.name, cell.name);
-                    return Status::okStatus();
-                },
-                {build});
-        }
-    }
-    // Expected per-cell failures live in the slots, so a non-ok run()
-    // can only mean cancellation — which the assembly below reads off
-    // the ran/build_ran flags directly.
+    planTasks(st, graph);
     (void)graph.run();
+    if (options.isolate == IsolateMode::kProcess)
+        executeForked(st, &out.stats);
 
-    // --- Process isolation: dispatch evaluations to forked workers --
-    // Workers are forked *after* the builds, so fork-COW hands every
-    // child the built variants for free; each child evaluates cells
-    // it is sent and answers with the exact journal payload bytes,
-    // checksummed end to end.  A worker death is survived: retry up
-    // to cell_retries re-dispatches, then quarantine the cell as a
-    // kWorkerCrashed failure with its death cause and keep sweeping.
-    if (options.isolate == IsolateMode::kProcess) {
-        struct WorkItem {
-            std::size_t app;
-            int cell;
-        };
-        std::vector<WorkItem> work;
-        std::vector<std::string> payloads;
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            for (int j = 0; j < 3; ++j) {
-                Cell &cell = slots[i].cells[j];
-                if (cell.ran || !cell.variant.has_value())
-                    continue;
-                if (cancel != nullptr && cancel->load())
-                    continue; // Assembly records the cancellation.
-                if (options.deadline.expired()) {
-                    // An expired sweep deadline forks no workers.
-                    cell.deadline_skipped = true;
-                    continue;
-                }
-                work.push_back({i, j});
-                payloads.push_back(std::to_string(i) + " " +
-                                   std::to_string(j));
-            }
-        }
-        if (!work.empty()) {
-            // Children must not append to the shared artifact cache:
-            // concurrent processes interleaving writes through one
-            // inherited fd would corrupt it.  Results are identical
-            // either way (the cache is a pure memoization).
-            EvalOptions child_eval = eval_opts;
-            child_eval.cache = nullptr;
-            const auto handler =
-                [&apps, &slots, &tech, &child_eval,
-                 &options](const std::string &task) -> std::string {
-                std::istringstream is(task);
-                std::size_t i = 0;
-                int j = 0;
-                if (!(is >> i >> j) || i >= apps.size() || j < 0 ||
-                    j >= 3)
-                    throw ApexError(
-                        Status(ErrorCode::kInternal,
-                               "malformed worker task '" + task +
-                                   "'"));
-                const Cell &cell = slots[i].cells[j];
-                SweepJournal::CellRecord rec;
-                rec.app = static_cast<int>(i);
-                rec.cell = j;
-                rec.variant = cell.name;
-                rec.result = evaluateCellGuarded(
-                    apps[i], *cell.variant, tech, child_eval,
-                    options);
-                return SweepJournal::encodeCellRecordPayload(rec);
-            };
-            runtime::WorkerPoolOptions wopts;
-            wopts.workers = out.stats.jobs;
-            wopts.task_retries = options.cell_retries;
-            wopts.heartbeat_ms = options.worker_heartbeat_ms;
-            wopts.liveness_timeout_ms =
-                options.worker_liveness_timeout_ms;
-            wopts.cancel = cancel;
-            wopts.trace_id = options.trace_id;
-            runtime::WorkerPool workers(handler, wopts);
-            const std::vector<runtime::WorkerTaskOutcome> outcomes =
-                workers.run(payloads);
-
-            for (std::size_t k = 0; k < work.size(); ++k) {
-                Cell &cell = slots[work[k].app].cells[work[k].cell];
-                const runtime::WorkerTaskOutcome &o = outcomes[k];
-                if (o.fate == runtime::TaskFate::kCancelled)
-                    continue; // Assembly records the cancellation.
-                counters.tasks.add(1);
-                counters.eval_us.add(
-                    static_cast<long>(o.wall_ms * 1e3));
-                SweepJournal::CellRecord rec;
-                rec.app = static_cast<int>(work[k].app);
-                rec.cell = work[k].cell;
-                rec.variant = cell.name;
-                if (o.fate == runtime::TaskFate::kDone &&
-                    SweepJournal::decodeCellRecordPayload(
-                        o.response, &rec)) {
-                    // Trust the payload's result, not its indices:
-                    // the journal key is the supervisor's.
-                    rec.app = static_cast<int>(work[k].app);
-                    rec.cell = work[k].cell;
-                    rec.variant = cell.name;
-                } else {
-                    // Quarantined (or an undecodable response, which
-                    // is a protocol-level crash): record a durable
-                    // kWorkerCrashed failure so --resume replays the
-                    // verdict instead of re-poisoning a worker.
-                    EvalResult &r = rec.result;
-                    r.success = false;
-                    r.pnr_attempts = std::max(1, o.attempts);
-                    std::ostringstream msg;
-                    msg << "worker died evaluating this cell ("
-                        << runtime::workerDeathCauseName(
-                               o.cause ==
-                                       runtime::WorkerDeathCause::
-                                           kNone
-                                   ? runtime::WorkerDeathCause::
-                                         kCrash
-                                   : o.cause)
-                        << "); quarantined after " << o.attempts
-                        << (o.attempts == 1 ? " attempt"
-                                            : " attempts");
-                    r.status = Status(ErrorCode::kWorkerCrashed,
-                                      msg.str());
-                    r.error = r.status.toString();
-                }
-                cell.ran = true;
-                cell.result = rec.result;
-                journal.appendCell(rec);
-                reportProgress(apps[work[k].app].name, cell.name);
-            }
-            out.stats.worker_restarts = workers.stats().restarts;
-            out.stats.worker_retries = workers.stats().retries;
-            out.stats.worker_quarantined =
-                workers.stats().quarantined;
-        }
-    }
-
-    // --- Deterministic assembly ------------------------------------
-    // One sequential pass in (app, recipe-cell) order reproduces the
-    // sequential driver's report byte for byte: same entry order,
-    // same failure order, same diagnostics scoping.  Replayed cells
-    // take exactly the same path as freshly-evaluated ones, which is
-    // what makes a resumed report byte-identical.
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const apps::AppInfo &app = apps[i];
-        AppSlot &slot = slots[i];
-        if (!slot.build_ran) {
-            recordFailure(
-                out.report, app.name, "",
-                slot.deadline_skipped
-                    ? Status(ErrorCode::kTimeout,
-                             "sweep deadline expired before variant "
-                             "construction")
-                    : Status(
-                          ErrorCode::kCancelled,
-                          "sweep cancelled before variant "
-                          "construction"),
-                1);
-            continue;
-        }
-        if (!slot.validate_status.ok()) {
-            recordFailure(out.report, app.name, "",
-                          std::move(slot.validate_status), 1);
-            continue;
-        }
-        if (slot.spec_failed)
-            recordFailure(out.report, app.name, slot.spec_name,
-                          std::move(slot.spec_status), 1);
-
-        for (int j = 0; j < 3; ++j) {
-            Cell &cell = slot.cells[j];
-            if (!cell.present)
-                continue;
-            const std::string &vname = cell.name;
-            if (cell.non_optimal_merges > 0) {
-                // Surface clique searches that stopped before
-                // optimality — previously a silent flag on the
-                // merge result.
-                DiagnosticRecord w;
-                w.severity = Severity::kWarning;
-                w.stage = "merge";
-                w.code = cell.merge_timeouts > 0
-                             ? ErrorCode::kTimeout
-                             : ErrorCode::kBudgetExhausted;
-                w.message =
-                    std::to_string(cell.non_optimal_merges) +
-                    " datapath merge(s) used a non-optimal clique "
-                    "(budget exhausted" +
-                    (cell.merge_timeouts > 0
-                         ? ", " +
-                               std::to_string(cell.merge_timeouts) +
-                               " by deadline"
-                         : std::string()) +
-                    "); the PE may spend more area than necessary";
-                w.scope = app.name + "/" + vname;
-                out.report.diagnostics.report(std::move(w));
-                // The diagnostic above is part of the byte-identical
-                // report contract, but the runtime stat counts clique
-                // searches cut short *this run* — a fully-replayed
-                // app never re-ran its merges, so recounting its
-                // journaled flags would double-count under --resume.
-                if (!slot.skip_build) {
-                    out.stats.non_optimal_cliques +=
-                        cell.non_optimal_merges;
-                    counters.non_optimal_cliques.add(
-                        cell.non_optimal_merges);
-                }
-            }
-            if (cell.mine_capped_levels > 0) {
-                // Surface mining frontiers truncated at the
-                // max_patterns_per_level safety valve — previously a
-                // silent drop that could change which PE variants
-                // exist downstream without any trace.
-                DiagnosticRecord w;
-                w.severity = Severity::kWarning;
-                w.stage = "mine";
-                w.code = ErrorCode::kBudgetExhausted;
-                w.message =
-                    "mining truncated " +
-                    std::to_string(cell.mine_capped_levels) +
-                    " level(s) at max_patterns_per_level (" +
-                    std::to_string(explorer.options()
-                                       .miner.max_patterns_per_level) +
-                    "); candidate patterns were dropped and a better "
-                    "subgraph may have been missed — raise the cap "
-                    "or min_support to mine exhaustively";
-                w.scope = app.name + "/" + vname;
-                out.report.diagnostics.report(std::move(w));
-                // Same replay policy as non_optimal_cliques: the
-                // diagnostic is part of the byte-identical report,
-                // the runtime stat counts truncations *this run*.
-                if (!slot.skip_build) {
-                    out.stats.mine_capped_levels +=
-                        cell.mine_capped_levels;
-                    counters.mine_capped_levels.add(
-                        cell.mine_capped_levels);
-                }
-            }
-            if (!cell.ran) {
-                recordFailure(
-                    out.report, app.name, vname,
-                    cell.deadline_skipped
-                        ? Status(ErrorCode::kTimeout,
-                                 "sweep deadline expired before "
-                                 "evaluation")
-                        : Status(ErrorCode::kCancelled,
-                                 "sweep cancelled before "
-                                 "evaluation"),
-                    1);
-                continue;
-            }
-            EvalResult &r = cell.result;
-            out.report.diagnostics.merge(r.diagnostics,
-                                         app.name + "/" + vname);
-            if (r.success) {
-                ++out.report.evaluated;
-                if (r.degraded) {
-                    // The report mirrors the cell's durable outcome
-                    // (byte-identical under --resume), but the stats
-                    // count degradations *this run*: a cell replayed
-                    // from the journal did not degrade again.
-                    ++out.report.degraded;
-                    if (!cell.replayed) {
-                        ++out.stats.cells_degraded;
-                        counters.cells_degraded.add(1);
-                    }
-                }
-                out.entries.push_back(
-                    {app.name, vname, std::move(r)});
-            } else {
-                Status s = r.status.ok()
-                               ? Status(ErrorCode::kEvaluationFailed,
-                                        r.error)
-                               : r.status;
-                recordFailure(out.report, app.name, vname,
-                              std::move(s), r.pnr_attempts);
-            }
-        }
-    }
+    // --- Assemble ---------------------------------------------------
+    assemble(st, &out);
 
     // --- Runtime counters ------------------------------------------
     // All counters live in the telemetry registry; this sweep's
@@ -919,7 +967,7 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     // an on-disk log missing outcomes; surface it after assembly so
     // the report above still carries everything that ran.
     if (durability.ok())
-        durability = journal.lastError().withContext(
+        durability = st.journal.lastError().withContext(
             "journaling sweep outcomes in '" + options.journal_dir +
             "'");
     if (!durability.ok()) {

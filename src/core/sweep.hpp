@@ -211,6 +211,13 @@ std::uint64_t sweepFingerprint(const std::vector<apps::AppInfo> &apps,
                                const model::TechModel &tech,
                                const SweepOptions &options);
 
+/** Parse an evaluation level name: "map", "pnr" or "pipe".  An
+ * unknown name is kInvalidArgument, never a silent fallback. */
+Result<EvalLevel> parseLevelName(const std::string &name);
+
+/** Parse an isolate mode name: "thread" or "process". */
+Result<IsolateMode> parseIsolateName(const std::string &name);
+
 /** Evaluate @p apps across the variant recipe, surviving failures. */
 SweepOutcome runSweep(const std::vector<apps::AppInfo> &apps,
                       const Explorer &explorer,

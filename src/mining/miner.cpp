@@ -400,9 +400,6 @@ extendEmbeddings(const Graph &app,
 std::vector<MinedPattern>
 FrequentSubgraphMiner::mine(const Graph &app, MineStats *stats) const
 {
-    if (options_.engine == MinerEngine::kReference)
-        return minePatternsReference(app, options_, stats);
-
     APEX_SPAN("mine");
     telemetry::StageTimer timer(
         telemetry::histogram("apex.mine.ms"));

@@ -31,8 +31,9 @@
  * occurrence; the exact branch and bound runs on adjacency rows ORed
  * from the same buckets.  All of it is deterministic with
  * ascending-index tie-breaking; the historic implementations are
- * retained as `*Reference` for differential testing
- * (tests/kernels_test.cpp) and must stay byte-identical.
+ * retained as `*Reference` oracles (oracles/oracles.hpp) for
+ * differential testing (tests/kernels_test.cpp) and must stay
+ * byte-identical.
  */
 
 namespace apex::mining {
@@ -68,20 +69,6 @@ maximalIndependentSet(const std::vector<std::vector<ir::NodeId>>
  */
 std::vector<std::vector<int>>
 overlapGraph(const std::vector<std::vector<ir::NodeId>> &occurrences);
-
-/** Historic all-pairs overlap construction (O(n^2) sorted-set
- * intersections), retained as the differential-test oracle. */
-std::vector<std::vector<int>>
-overlapGraphReference(
-    const std::vector<std::vector<ir::NodeId>> &occurrences);
-
-/** Historic solver (O(n) greedy scans, per-recursion degree
- * recomputation), retained as the differential-test oracle.  Must
- * return byte-identical results to maximalIndependentSet(). */
-MisResult
-maximalIndependentSetReference(
-    const std::vector<std::vector<ir::NodeId>> &occurrences,
-    int exact_limit = kMisExactLimit);
 
 } // namespace apex::mining
 

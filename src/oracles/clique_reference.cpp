@@ -2,8 +2,8 @@
 #include <cstddef>
 #include <vector>
 
-#include "merging/clique.hpp"
 #include "merging/clique_detail.hpp"
+#include "oracles/oracles.hpp"
 
 /**
  * @file

@@ -1,5 +1,3 @@
-#include "mining/miner.hpp"
-
 #include <algorithm>
 #include <map>
 #include <set>
@@ -7,7 +5,7 @@
 #include <tuple>
 
 #include "ir/signature.hpp"
-#include "mining/isomorphism.hpp"
+#include "oracles/oracles.hpp"
 #include "runtime/telemetry.hpp"
 
 /*

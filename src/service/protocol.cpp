@@ -625,6 +625,47 @@ renderSweepText(const std::vector<core::SweepEntry> &entries,
     return out;
 }
 
+Result<core::SweepOptions>
+sweepOptionsFor(const SweepRequest &request,
+                core::ExplorerOptions *explorer)
+{
+    const Result<core::EvalLevel> level =
+        core::parseLevelName(request.level);
+    if (!level)
+        return level.status();
+    const Result<core::IsolateMode> isolate =
+        core::parseIsolateName(request.isolate);
+    if (!isolate)
+        return isolate.status();
+    core::SweepOptions opts;
+    opts.level = *level;
+    opts.isolate = *isolate;
+    opts.cell_retries = request.cell_retries;
+    opts.cell_deadline_ms = request.cell_deadline_ms;
+    if (request.deadline_ms != 0)
+        opts.deadline = Deadline::after(request.deadline_ms);
+    if (explorer != nullptr) {
+        explorer->miner.deadline = opts.deadline;
+        explorer->merge.deadline = opts.deadline;
+    }
+    return opts;
+}
+
+SweepReply
+sweepReplyFor(const SweepRequest &request,
+              const core::SweepOptions &options,
+              core::SweepOutcome outcome, bool cancelled)
+{
+    SweepReply reply;
+    reply.deadline_bounded = request.deadline_ms != 0;
+    reply.deadline_expired =
+        reply.deadline_bounded && options.deadline.expired();
+    reply.cancelled = cancelled;
+    reply.entries = std::move(outcome.entries);
+    reply.report = std::move(outcome.report);
+    return reply;
+}
+
 int
 sweepExitCode(const SweepReply &rep)
 {

@@ -130,7 +130,9 @@ struct SweepRequest {
     std::string level = "map";  ///< map | pnr | pipe.
     std::string isolate = "thread"; ///< thread | process.
     int cell_retries = 2;
-    double deadline_ms = 0.0;      ///< <= 0: unbounded.
+    /** Sweep budget: 0 = unbounded (what a v2 client sends by
+     * default); negative = already expired. */
+    double deadline_ms = 0.0;
     double cell_deadline_ms = 0.0; ///< <= 0: none.
     bool want_progress = false;    ///< Stream per-cell progress.
     /** Request trace context (v3; 0 = none).  Encoded as a trailing
@@ -298,8 +300,31 @@ std::string statuszJson(const StatuszReply &rep);
 std::string renderStatuszText(const StatuszReply &rep);
 
 // --------------------------------------------------------------------
-// Rendering (the byte-identity contract)
+// Request mapping and rendering (the byte-identity contract)
 // --------------------------------------------------------------------
+
+/**
+ * The SweepOptions @p request maps to: level, isolation, cell retries
+ * and budgets.  Batch `apexc sweep` and apexd both build their sweep
+ * through this one mapping, so the same flags run the same sweep in
+ * either mode.  The sweep deadline starts now — call this when
+ * execution starts.  With @p explorer, variant construction (mining,
+ * merging) observes the sweep deadline too.  Execution resources
+ * (pool, cache, journal, cancel, progress, trace id) are the caller's.
+ *
+ * @return kInvalidArgument for an unknown level or isolate name.
+ */
+Result<core::SweepOptions>
+sweepOptionsFor(const SweepRequest &request,
+                core::ExplorerOptions *explorer = nullptr);
+
+/** The report of a finished sweep of @p request run with @p options
+ * (from sweepOptionsFor), carrying the state its exit code reads.
+ * apexd sends it; batch `apexc sweep` builds it locally, so both exit
+ * through sweepExitCode(). */
+SweepReply sweepReplyFor(const SweepRequest &request,
+                         const core::SweepOptions &options,
+                         core::SweepOutcome outcome, bool cancelled);
 
 /**
  * The exact stdout of `apexc sweep`: one line per entry, then the
@@ -310,9 +335,10 @@ std::string renderStatuszText(const StatuszReply &rep);
 std::string renderSweepText(const std::vector<core::SweepEntry> &entries,
                             const ExplorationReport &report);
 
-/** Exit code `apexc sweep` maps @p rep to (mirrors the batch rules:
- * timeout when a bounded sweep starved, first failure's code when
- * nothing ran, cancelled when the daemon stopped mid-sweep). */
+/** Exit code of `apexc sweep`, batch or client: cancelled when the
+ * sweep was interrupted (or the daemon stopped mid-sweep), timeout
+ * when a bounded sweep starved, the first failure's code when nothing
+ * was evaluated, else 0. */
 int sweepExitCode(const SweepReply &rep);
 
 } // namespace apex::service

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "core/deadline.hpp"
 #include "core/explorer.hpp"
 #include "core/fault.hpp"
 #include "runtime/eventlog.hpp"
@@ -41,48 +40,6 @@ setNonBlocking(int fd)
     const int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags >= 0)
         (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-/** Parse a request's level name (validated at admission so a typo is
- * a reject frame, not a queued job that fails later). */
-bool
-parseLevelName(const std::string &name, core::EvalLevel *out)
-{
-    if (name == "map")
-        *out = core::EvalLevel::kPostMapping;
-    else if (name == "pnr")
-        *out = core::EvalLevel::kPostPnr;
-    else if (name == "pipe")
-        *out = core::EvalLevel::kPostPipelining;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseIsolateName(const std::string &name, core::IsolateMode *out)
-{
-    if (name == "thread")
-        *out = core::IsolateMode::kInProcess;
-    else if (name == "process")
-        *out = core::IsolateMode::kProcess;
-    else
-        return false;
-    return true;
-}
-
-/** SweepOptions a request maps to (sans runtime resources).  Shared
- * by the coalescing key and the executor so the fingerprint always
- * describes exactly the sweep that would run. */
-core::SweepOptions
-sweepOptionsFor(const SweepRequest &request)
-{
-    core::SweepOptions opts;
-    (void)parseLevelName(request.level, &opts.level);
-    (void)parseIsolateName(request.isolate, &opts.isolate);
-    opts.cell_retries = request.cell_retries;
-    opts.cell_deadline_ms = request.cell_deadline_ms;
-    return opts;
 }
 
 /** Accept-pause knobs: first exhaustion pauses the listeners briefly,
@@ -561,7 +518,7 @@ Server::coalescingKey(const SweepRequest &request) const
     const core::Explorer explorer(model::defaultTech());
     const std::uint64_t fp = core::sweepFingerprint(
         apps_, explorer, model::defaultTech(),
-        sweepOptionsFor(request));
+        *sweepOptionsFor(request));
     char knobs[160];
     std::snprintf(knobs, sizeof knobs, "%016llx %s %s %d %a %a",
                   static_cast<unsigned long long>(fp),
@@ -582,15 +539,14 @@ Server::admitSweep(Session &session, const SweepRequest &request)
         trace_scope.set(request.trace_id);
     APEX_SPAN("service.admit");
 
-    core::EvalLevel level;
-    core::IsolateMode isolate;
-    if (!parseLevelName(request.level, &level) ||
-        !parseIsolateName(request.isolate, &isolate)) {
+    // A bad level or isolate name is a reject frame, not a queued job
+    // that fails later.
+    if (const Status valid = sweepOptionsFor(request).status();
+        !valid.ok()) {
         SweepReject rej;
         rej.id = request.id;
-        rej.code = ErrorCode::kInvalidArgument;
-        rej.reason = "unknown level '" + request.level +
-                     "' or isolate '" + request.isolate + "'";
+        rej.code = valid.code();
+        rej.reason = valid.message();
         (void)session.send(kFrameReject, encodeReject(rej));
         return;
     }
@@ -739,7 +695,12 @@ Server::runJob(const std::shared_ptr<SweepJob> &job)
     SweepReply reply;
     {
         APEX_SPAN("service.execute");
-        core::SweepOptions opts = sweepOptionsFor(request);
+        // Admission validated the request, and the budget starts now:
+        // queue wait is the price of admission, not of the sweep
+        // (matching the batch CLI, where the deadline clock starts
+        // after flag parsing).
+        core::ExplorerOptions ex_options;
+        core::SweepOptions opts = *sweepOptionsFor(request, &ex_options);
         opts.trace_id = request.trace_id;
         opts.jobs = options_.jobs;
         opts.cache = cache_.get();
@@ -759,30 +720,14 @@ Server::runJob(const std::shared_ptr<SweepJob> &job)
                 opts.resume = true;
             }
         }
-        // The budget starts when execution starts: queue wait is the
-        // price of admission, not of the sweep (matching the batch CLI,
-        // where the deadline clock starts after flag parsing).
-        const bool bounded = request.deadline_ms > 0;
-        if (bounded)
-            opts.deadline = Deadline::after(request.deadline_ms);
         opts.progress = [this, &job](const core::SweepProgress &p) {
             broadcastProgress(job, p);
         };
-
-        // Variant construction observes the sweep deadline too, exactly
-        // like the batch path.
-        core::ExplorerOptions ex_options;
-        ex_options.miner.deadline = opts.deadline;
-        ex_options.merge.deadline = opts.deadline;
         const core::Explorer explorer(model::defaultTech(), ex_options);
         core::SweepOutcome outcome = core::runSweep(
             apps_, explorer, model::defaultTech(), opts);
-
-        reply.deadline_bounded = bounded;
-        reply.deadline_expired = bounded && opts.deadline.expired();
-        reply.cancelled = stop_.load();
-        reply.entries = std::move(outcome.entries);
-        reply.report = std::move(outcome.report);
+        reply = sweepReplyFor(request, opts, std::move(outcome),
+                              stop_.load());
     }
 
     // Stop accepting coalesced joiners *before* publishing: a request

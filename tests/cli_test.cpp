@@ -4,18 +4,22 @@
  * and cooperative cancellation, and a SIGKILLed journaled sweep must
  * resume to byte-identical output.
  *
- * Each test shells out to the real binary (APEXC_PATH is injected by
- * CMake), so these cover the signal handlers and process teardown
- * that in-process tests cannot.
+ * Each test shells out to the real binaries (APEXC_PATH and APEXD_PATH
+ * are injected by CMake), so these cover the signal handlers and
+ * process teardown that in-process tests cannot.
  */
+#include <fcntl.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -66,6 +70,50 @@ slurp(const std::string &path)
 }
 
 const std::string apexc = APEXC_PATH;
+
+/** An apexd child serving @p socket; SIGTERMed and reaped on scope
+ * exit, so a failing assertion never leaks a daemon. */
+class Daemon {
+  public:
+    explicit Daemon(const std::string &socket) : socket_(socket)
+    {
+        pid_ = ::fork();
+        if (pid_ == 0) {
+            const int null_fd = ::open("/dev/null", O_WRONLY);
+            ::dup2(null_fd, STDOUT_FILENO);
+            ::dup2(null_fd, STDERR_FILENO);
+            ::execl(APEXD_PATH, APEXD_PATH, "--socket", socket.c_str(),
+                    static_cast<char *>(nullptr));
+            ::_exit(127);
+        }
+    }
+    ~Daemon()
+    {
+        if (pid_ <= 0)
+            return;
+        ::kill(pid_, SIGTERM);
+        int status = 0;
+        (void)::waitpid(pid_, &status, 0);
+    }
+    Daemon(const Daemon &) = delete;
+    Daemon &operator=(const Daemon &) = delete;
+
+    /** True once the daemon answers an info request (bounded wait). */
+    bool ready() const
+    {
+        for (int i = 0; i < 100 && pid_ > 0; ++i) {
+            if (run(apexc + " client info --socket " + socket_ +
+                    " > /dev/null 2>&1") == 0)
+                return true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        return false;
+    }
+
+  private:
+    std::string socket_;
+    pid_t pid_ = -1;
+};
 
 TEST(Cli, SuccessExitsZero)
 {
@@ -235,6 +283,29 @@ TEST(Cli, ClientWithoutDaemonExitsUnavailable)
     EXPECT_EQ(run(apexc + " client info --socket " + dir.str() +
                   "/absent.sock > /dev/null 2>&1"),
               exitCodeFor(ErrorCode::kUnavailable));
+}
+
+TEST(Cli, ClientExpiredDeadlineMatchesBatch)
+{
+    // An explicit, already-spent budget must reach the daemon as an
+    // expired bound, not as "unbounded" (0 on the wire): the client
+    // exits with the timeout code and prints exactly the batch bytes.
+    ScratchDir dir("client_deadline");
+    const std::string socket = dir.str() + "/apexd.sock";
+    Daemon daemon(socket);
+    ASSERT_TRUE(daemon.ready());
+    const int want = exitCodeFor(ErrorCode::kTimeout);
+    const std::string batch_out = dir.str() + "/batch.out";
+    const std::string client_out = dir.str() + "/client.out";
+    EXPECT_EQ(run(apexc + " sweep --level map --deadline 0 > " +
+                  batch_out),
+              want);
+    EXPECT_EQ(run(apexc + " client sweep --level map --deadline 0" +
+                  " --socket " + socket + " > " + client_out),
+              want);
+    const std::string batch = slurp(batch_out);
+    EXPECT_NE(batch.find("0 evaluated"), std::string::npos) << batch;
+    EXPECT_EQ(batch, slurp(client_out));
 }
 
 } // namespace

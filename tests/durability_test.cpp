@@ -8,9 +8,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -743,6 +746,92 @@ TEST(Durability, MidJournalCorruptionReEvaluatesOnlyLostCells)
     EXPECT_EQ(third.stats.cells_replayed, 6);
     EXPECT_EQ(third.stats.tasks_run, 0);
     EXPECT_EQ(outcomeBytes(reference), outcomeBytes(third));
+}
+
+TEST(Durability, ProgressFiresOncePerFreshCellInEitherIsolateMode)
+{
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+    for (const IsolateMode isolate :
+         {IsolateMode::kInProcess, IsolateMode::kProcess}) {
+        const bool forked = isolate == IsolateMode::kProcess;
+        ScratchDir dir(forked ? "progress_process" : "progress_thread");
+        std::mutex mu;
+        std::vector<SweepProgress> seen;
+        SweepOptions options;
+        options.isolate = isolate;
+        options.jobs = 2;
+        options.journal_dir = dir.str();
+        options.progress = [&mu, &seen](const SweepProgress &p) {
+            std::lock_guard<std::mutex> lock(mu);
+            seen.push_back(p);
+        };
+
+        const SweepOutcome fresh =
+            runSweep(apps_list, ex, tech, options);
+        ASSERT_EQ(fresh.report.evaluated, 6) << forked;
+        ASSERT_EQ(seen.size(), 6u) << forked;
+        std::vector<int> done;
+        std::set<std::string> cells;
+        for (const SweepProgress &p : seen) {
+            EXPECT_EQ(p.total, 3 * static_cast<int>(apps_list.size()));
+            done.push_back(p.done);
+            cells.insert(p.app + "/" + p.variant);
+        }
+        std::sort(done.begin(), done.end());
+        EXPECT_EQ(done, (std::vector<int>{1, 2, 3, 4, 5, 6})) << forked;
+        EXPECT_EQ(cells.size(), 6u) << forked; // Each cell exactly once.
+
+        // Replayed cells are not fresh evaluations: no progress.
+        seen.clear();
+        options.resume = true;
+        const SweepOutcome replayed =
+            runSweep(apps_list, ex, tech, options);
+        EXPECT_EQ(replayed.stats.cells_replayed, 6) << forked;
+        EXPECT_TRUE(seen.empty()) << forked;
+    }
+}
+
+TEST(Durability, JournalResumesAcrossIsolateModesByteIdentical)
+{
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+    const SweepOutcome reference = runSweep(apps_list, ex, tech, {});
+    ASSERT_EQ(reference.report.evaluated, 6);
+
+    // A sweep hard-killed mid-journal under one isolate mode resumes
+    // under the other: both modes finish cells through the same
+    // journal records, so the replay is mode-agnostic.
+    for (const bool process_first : {true, false}) {
+        ScratchDir dir(process_first ? "cross_from_process"
+                                     : "cross_from_thread");
+        SweepOptions options;
+        options.journal_dir = dir.str();
+        options.isolate = process_first ? IsolateMode::kProcess
+                                        : IsolateMode::kInProcess;
+        const pid_t pid = fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            FaultInjector::instance().reset();
+            FaultInjector::instance().arm(FaultStage::kCrash, 4);
+            (void)runSweep(apps_list, ex, tech, options);
+            _Exit(42); // not reached: the crash point fires first
+        }
+        int wait_status = 0;
+        ASSERT_EQ(waitpid(pid, &wait_status, 0), pid);
+        ASSERT_TRUE(WIFSIGNALED(wait_status)) << process_first;
+        ASSERT_EQ(WTERMSIG(wait_status), SIGKILL) << process_first;
+
+        options.isolate = process_first ? IsolateMode::kInProcess
+                                        : IsolateMode::kProcess;
+        options.resume = true;
+        const SweepOutcome resumed =
+            runSweep(apps_list, ex, tech, options);
+        EXPECT_GT(resumed.stats.cells_replayed, 0) << process_first;
+        EXPECT_LT(resumed.stats.cells_replayed, 6) << process_first;
+        EXPECT_EQ(outcomeBytes(reference), outcomeBytes(resumed))
+            << process_first;
+    }
 }
 
 // --- Graceful degradation ----------------------------------------------
