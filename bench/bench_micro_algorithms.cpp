@@ -239,6 +239,67 @@ kernelIsoTarget(int ops)
     return b.take();
 }
 
+bool
+sameRule(const mapper::RewriteRule &a, const mapper::RewriteRule &b)
+{
+    return ir::serialize(a.pattern) == ir::serialize(b.pattern) &&
+           a.config.mux_sel == b.config.mux_sel &&
+           a.config.block_op == b.config.block_op &&
+           a.config.const_val == b.config.const_val &&
+           a.config.lut_table == b.config.lut_table &&
+           a.config.word_out_sel == b.config.word_out_sel &&
+           a.config.bit_out_sel == b.config.bit_out_sel &&
+           a.node_to_dp == b.node_to_dp &&
+           a.placeholders == b.placeholders &&
+           a.input_ports == b.input_ports &&
+           a.const_bindings == b.const_bindings &&
+           a.out_node == b.out_node && a.word_output == b.word_output &&
+           a.size == b.size && a.pe_type == b.pe_type;
+}
+
+/**
+ * One `rewrite_lib` row: the rule library of @p variant, built by
+ * synthesizeLibrary and again by validating every candidate rule
+ * with the reference validation.  `checks` is the
+ * apex.rewrite.checks delta, a deterministic vector count.
+ */
+void
+printRewriteRow(const core::PeVariant &variant)
+{
+    telemetry::Counter &checks =
+        telemetry::counter("apex.rewrite.checks");
+    const long long checks0 = checks.value();
+    auto t0 = std::chrono::steady_clock::now();
+    const auto got = mapper::RewriteRuleSynthesizer(variant.spec)
+                         .synthesizeLibrary(variant.patterns);
+    const double ms = wallMs(t0);
+    const long long n_checks = checks.value() - checks0;
+
+    // Reference library: every candidate (no vectors checked), kept
+    // when the reference validation accepts it.  Filtering keeps the
+    // library's stable largest-first order.
+    mapper::SynthesisOptions unchecked;
+    unchecked.random_checks = 0;
+    unchecked.exhaustive_max_inputs = -1;
+    t0 = std::chrono::steady_clock::now();
+    std::vector<mapper::RewriteRule> ref;
+    for (auto &rule :
+         mapper::RewriteRuleSynthesizer(variant.spec, unchecked)
+             .synthesizeLibrary(variant.patterns)) {
+        if (mapper::validateRuleReference(variant.spec, rule))
+            ref.push_back(std::move(rule));
+    }
+    const double ms_ref = wallMs(t0);
+    bool match = got.size() == ref.size();
+    for (std::size_t i = 0; match && i < got.size(); ++i)
+        match = sameRule(got[i], ref[i]);
+    std::printf("{\"kernel\":\"rewrite_lib\",\"pe\":\"%s\","
+                "\"rules\":%zu,\"checks\":%lld,\"match\":%s,"
+                "\"ms\":%.2f,\"ms_ref\":%.2f}\n",
+                variant.name.c_str(), got.size(), n_checks,
+                match ? "true" : "false", ms, ms_ref);
+}
+
 int
 runKernelRows()
 {
@@ -359,6 +420,13 @@ runKernelRows()
                     ops, got.size(), match ? "true" : "false", ms,
                     ms_ref, stages.jsonFragment().c_str());
     }
+
+    // Rewrite-rule libraries: the baseline PE and each paper app's
+    // specialized PE, against the reference validation.
+    const core::Explorer explorer;
+    printRewriteRow(explorer.baselineVariant());
+    for (const auto &info : apps::allApps())
+        printRewriteRow(explorer.specVariant(info));
     return 0;
 }
 

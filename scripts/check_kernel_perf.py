@@ -19,6 +19,13 @@ greedy-regime pattern the explorer mines from that app.  Their
 `words` field is the apex.mis.overlap_words counter — bucket-row words
 ORed — and is deterministic like the clique node counts.
 
+Also gates the `rewrite_lib` rows (the baseline PE and each paper
+app's specialized PE): `checks` is the apex.rewrite.checks counter,
+the number of test vectors rule validation evaluated.  The vector set
+is fixed by the synthesis options, so any change in either direction
+means validation itself changed; `match` says the library equals the
+one built with the reference validation.
+
 Failure conditions:
   * any clique row expands more than 2x the baseline's node count
     (the pruning bound regressed);
@@ -28,6 +35,8 @@ Failure conditions:
     falls below 5x (the headline reduction claim);
   * any miner row whose pattern count drifts from the baseline or
     whose matcher-call reduction falls below MIN_MINER_ISO_FACTOR;
+  * any rewrite_lib row whose check count differs from the
+    baseline's (validation weakened or changed);
   * any row reports match:false (optimized and reference kernels
     disagreed — a determinism-contract break).
 
@@ -61,7 +70,7 @@ def main():
 
     for row in current:
         if not row.get("match", True):
-            tag = row.get("app", row.get("n"))
+            tag = row.get("app", row.get("pe", row.get("n")))
             failures.append(
                 f"{row['kernel']} {tag}: optimized and "
                 "reference kernels disagree (match:false)")
@@ -102,6 +111,19 @@ def main():
                 f"mis_app {row['app']}: {row['words']} bucket-row "
                 f"words ORed vs baseline {base['words']} "
                 f"(> {NODE_REGRESSION_FACTOR}x)")
+
+    base_rewrite = {r["pe"]: r for r in baseline
+                    if r["kernel"] == "rewrite_lib"}
+    cur_rewrite = [r for r in current if r["kernel"] == "rewrite_lib"]
+    if base_rewrite and not cur_rewrite:
+        failures.append("no rewrite_lib rows in current output")
+    for row in cur_rewrite:
+        base = base_rewrite.get(row["pe"])
+        if base is not None and row["checks"] != base["checks"]:
+            failures.append(
+                f"rewrite_lib {row['pe']}: {row['checks']} vectors "
+                f"checked vs baseline {base['checks']} "
+                "(validation changed)")
 
     base_clique = {r["n"]: r for r in baseline
                    if r["kernel"] == "clique"}

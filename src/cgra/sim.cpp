@@ -12,31 +12,26 @@ using mapper::MappedNode;
 
 namespace {
 
+/** Buffers evalPe() reuses across PE instances and cycles. */
+struct PeScratch {
+    std::vector<std::uint64_t> operands;
+    pe::PeConfig cfg;
+    pe::PeInputs in;
+};
+
 /** Evaluate one PE instance on the currently-visible input values. */
 std::uint64_t
 evalPe(const MappedNode &node, const mapper::RewriteRule &rule,
        const pe::PeSpec &spec, const pe::PeFunctionalModel &model,
-       const std::vector<std::uint64_t> &visible)
+       const std::vector<std::uint64_t> &visible, PeScratch &scratch)
 {
-    pe::PeConfig cfg = rule.config;
-    for (std::size_t c = 0; c < rule.const_bindings.size(); ++c)
-        cfg.const_val[rule.const_bindings[c].second] =
-            node.const_vals[c];
-
-    pe::PeInputs in;
-    in.word.assign(spec.word_inputs.size(), 0);
-    in.bit.assign(spec.bit_inputs.size(), 0);
-    for (std::size_t k = 0; k < rule.placeholders.size(); ++k) {
-        const std::uint64_t v = visible[node.inputs[k]];
-        if (rule.pattern.op(rule.placeholders[k]) ==
-            ir::Op::kInputBit) {
-            in.bit[rule.input_ports[k]] = v & 1;
-        } else {
-            in.word[rule.input_ports[k]] = v;
-        }
-    }
+    scratch.operands.clear();
+    for (int src : node.inputs)
+        scratch.operands.push_back(visible[src]);
+    mapper::bindRule(spec, rule, scratch.operands, node.const_vals,
+                     &scratch.cfg, &scratch.in);
     pe::PeOutputs out;
-    if (!model.evaluate(cfg, in, &out))
+    if (!model.evaluate(scratch.cfg, scratch.in, &out))
         return 0;
     return rule.word_output ? out.word : out.bit;
 }
@@ -91,6 +86,7 @@ CycleSimulator::run(
         trace.latency.push_back(arrivals[pad]);
 
     std::vector<std::uint64_t> visible(n, 0);
+    PeScratch scratch;
 
     for (int t = 0; t < cycles; ++t) {
         // Phase 1: input pads take this cycle's samples; latency
@@ -120,7 +116,7 @@ CycleSimulator::run(
                 break;
               case MappedKind::kPe:
                 visible[id] = evalPe(node, rules_[node.rule], spec_,
-                                     model_, visible);
+                                     model_, visible, scratch);
                 break;
               default:
                 break; // inputs already bound; no other latency-0 kind
@@ -135,7 +131,7 @@ CycleSimulator::run(
             const std::uint64_t next =
                 node.kind == MappedKind::kPe
                     ? evalPe(node, rules_[node.rule], spec_, model_,
-                             visible)
+                             visible, scratch)
                     : visible[node.inputs[0]];
             pipe[id].pop_front();
             pipe[id].push_back(next);

@@ -4,35 +4,42 @@
 
 namespace apex::ir {
 
+namespace {
+
+/** Value array seeded with every constant's param; inputs read 0. */
 std::vector<std::uint64_t>
-Interpreter::evalAll(const Graph &g,
-                     const std::map<NodeId, std::uint64_t> &inputs) const
+seededValues(const Graph &g)
 {
+    std::vector<std::uint64_t> value(g.size(), 0);
+    for (NodeId id = 0; id < g.size(); ++id) {
+        const Op op = g.op(id);
+        if (op == Op::kConst || op == Op::kConstBit)
+            value[id] = g.node(id).param;
+    }
+    return value;
+}
+
+} // namespace
+
+void
+Interpreter::evalInto(const Graph &g, const std::vector<NodeId> &order,
+                      std::vector<std::uint64_t> &value) const
+{
+    value.resize(g.size(), 0);
     const std::uint64_t mask = (width_ >= 64)
         ? ~std::uint64_t{0}
         : (std::uint64_t{1} << width_) - 1;
 
-    std::vector<std::uint64_t> value(g.size(), 0);
-    for (NodeId id : g.topoOrder()) {
+    for (NodeId id : order) {
         const Node &n = g.node(id);
         switch (n.op) {
-          case Op::kInput: {
-            auto it = inputs.find(id);
-            assert(it != inputs.end() && "missing input value");
-            value[id] = it->second & mask;
-            break;
-          }
-          case Op::kInputBit: {
-            auto it = inputs.find(id);
-            assert(it != inputs.end() && "missing input value");
-            value[id] = it->second & 1;
-            break;
-          }
+          case Op::kInput:
           case Op::kConst:
-            value[id] = n.param & mask;
+            value[id] &= mask;
             break;
+          case Op::kInputBit:
           case Op::kConstBit:
-            value[id] = n.param & 1;
+            value[id] &= 1;
             break;
           case Op::kOutput:
           case Op::kOutputBit:
@@ -54,6 +61,19 @@ Interpreter::evalAll(const Graph &g,
           }
         }
     }
+}
+
+std::vector<std::uint64_t>
+Interpreter::evalAll(const Graph &g,
+                     const std::map<NodeId, std::uint64_t> &inputs) const
+{
+    std::vector<std::uint64_t> value = seededValues(g);
+    for (const auto &[id, v] : inputs) {
+        const Op op = id < g.size() ? g.op(id) : Op::kNumOps;
+        if (op == Op::kInput || op == Op::kInputBit)
+            value[id] = v;
+    }
+    evalInto(g, g.topoOrder(), value);
     return value;
 }
 
@@ -61,22 +81,20 @@ std::vector<std::uint64_t>
 Interpreter::evalByOrder(const Graph &g,
                          const std::vector<std::uint64_t> &inputs) const
 {
-    std::map<NodeId, std::uint64_t> in_map;
+    std::vector<std::uint64_t> value = seededValues(g);
     std::size_t next = 0;
     for (NodeId id = 0; id < g.size(); ++id) {
         const Op op = g.op(id);
-        if (op == Op::kInput || op == Op::kInputBit) {
-            assert(next < inputs.size() && "too few input values");
-            in_map[id] = inputs[next++];
-        }
+        if (op == Op::kInput || op == Op::kInputBit)
+            value[id] = next < inputs.size() ? inputs[next++] : 0;
     }
-    const std::vector<std::uint64_t> all = evalAll(g, in_map);
+    evalInto(g, g.topoOrder(), value);
 
     std::vector<std::uint64_t> outs;
     for (NodeId id = 0; id < g.size(); ++id) {
         const Op op = g.op(id);
         if (op == Op::kOutput || op == Op::kOutputBit)
-            outs.push_back(all[id]);
+            outs.push_back(value[id]);
     }
     return outs;
 }

@@ -33,7 +33,8 @@ class Interpreter {
      * Evaluate @p g given values for its input nodes.
      *
      * @param g       A validated graph.
-     * @param inputs  Value per kInput/kInputBit node id.
+     * @param inputs  Value per kInput/kInputBit node id; an input
+     *                without an entry reads 0.
      * @return value of every node, indexed by node id.
      */
     std::vector<std::uint64_t>
@@ -43,11 +44,29 @@ class Interpreter {
     /**
      * Evaluate @p g with inputs bound positionally (order of input-node
      * creation) and outputs returned positionally (order of output-node
-     * creation).
+     * creation).  Inputs beyond the end of @p inputs read 0.
      */
     std::vector<std::uint64_t>
     evalByOrder(const Graph &g,
                 const std::vector<std::uint64_t> &inputs) const;
+
+    /**
+     * The evaluation loop behind evalAll() and evalByOrder(), for
+     * callers that evaluate one graph on many value sets and so set
+     * up the order and the value array once.
+     *
+     * @param g      A validated graph.
+     * @param order  A topological order of @p g (Graph::topoOrder()).
+     * @param value  One slot per node.  On entry every kInput /
+     *               kInputBit slot holds its input value and every
+     *               kConst / kConstBit slot its constant (the node's
+     *               param, or an override); both are masked to width
+     *               in place.  A shorter array is zero-extended, so
+     *               the inputs it lacks read 0.  On return it holds
+     *               every node's value.
+     */
+    void evalInto(const Graph &g, const std::vector<NodeId> &order,
+                  std::vector<std::uint64_t> &value) const;
 
     int width() const { return width_; }
 

@@ -1,8 +1,6 @@
 #include "mapper/rewrite.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 #include <random>
 #include <set>
 
@@ -364,103 +362,114 @@ combineLibraries(std::vector<std::vector<RewriteRule>> libraries,
     return combined;
 }
 
+void
+bindRule(const PeSpec &spec, const RewriteRule &rule,
+         std::span<const std::uint64_t> operands,
+         std::span<const std::uint64_t> const_vals, PeConfig *cfg,
+         pe::PeInputs *in)
+{
+    *cfg = rule.config;
+    for (std::size_t c = 0; c < rule.const_bindings.size(); ++c)
+        cfg->const_val[rule.const_bindings[c].second] = const_vals[c];
+    in->word.assign(spec.word_inputs.size(), 0);
+    in->bit.assign(spec.bit_inputs.size(), 0);
+    for (std::size_t k = 0; k < rule.placeholders.size(); ++k) {
+        if (rule.pattern.op(rule.placeholders[k]) == Op::kInputBit)
+            in->bit[rule.input_ports[k]] = operands[k] & 1;
+        else
+            in->word[rule.input_ports[k]] = operands[k];
+    }
+}
+
 bool
 validateRule(const PeSpec &spec, const RewriteRule &rule,
              const SynthesisOptions &options)
 {
-    // Free variables of the forall: placeholders and constants.
+    // Everything but the evaluations is set up once per rule.  The
+    // free variables of the forall are the placeholders, then the
+    // constants: the operand-then-constant order bindRule() reads, so
+    // one value vector binds both sides.
+    const Graph &pattern = rule.pattern;
+    const std::size_t nph = rule.placeholders.size();
     std::vector<NodeId> free_vars = rule.placeholders;
     for (const auto &[const_node, reg] : rule.const_bindings)
         free_vars.push_back(const_node);
+    const int nvars = static_cast<int>(free_vars.size());
+    std::vector<bool> is_bit(nvars);
+    for (int i = 0; i < nvars; ++i)
+        is_bit[i] = ir::opResultType(pattern.op(free_vars[i])) ==
+                    ir::ValueType::kBit;
 
-    auto check = [&](const std::vector<std::uint64_t> &values,
-                     int width) {
-        // Bind the pattern side: copy the pattern with const params
-        // overridden, interpret.
-        Graph bound = rule.pattern;
-        std::map<NodeId, std::uint64_t> inputs;
-        pe::PeInputs pe_in;
-        pe_in.word.assign(spec.word_inputs.size(), 0);
-        pe_in.bit.assign(spec.bit_inputs.size(), 0);
-        PeConfig cfg = rule.config;
+    const std::vector<NodeId> order = pattern.topoOrder();
+    std::vector<std::uint64_t> seed(pattern.size(), 0);
+    for (NodeId id = 0; id < pattern.size(); ++id)
+        if (isConstNode(pattern, id))
+            seed[id] = pattern.node(id).param;
+    std::vector<std::uint64_t> pattern_vals;
+    std::vector<std::uint64_t> values(nvars, 0);
+    PeConfig cfg;
+    pe::PeInputs pe_in;
+    pe::PeOutputs out;
+    long long checks = 0;
 
-        for (std::size_t i = 0; i < free_vars.size(); ++i) {
-            const NodeId id = free_vars[i];
-            const std::uint64_t v = values[i];
-            if (isPlaceholderNode(rule.pattern, id)) {
-                inputs[id] = v;
-                // Locate this placeholder's rule input port.
-                for (std::size_t k = 0; k < rule.placeholders.size();
-                     ++k) {
-                    if (rule.placeholders[k] != id)
-                        continue;
-                    if (rule.pattern.op(id) == Op::kInputBit)
-                        pe_in.bit[rule.input_ports[k]] = v & 1;
-                    else
-                        pe_in.word[rule.input_ports[k]] = v;
-                }
-            } else {
-                bound.node(id).param = v;
-                for (const auto &[cnode, reg] : rule.const_bindings)
-                    if (cnode == id)
-                        cfg.const_val[reg] = v;
-            }
-        }
+    auto check = [&](const ir::Interpreter &interp,
+                     const pe::PeFunctionalModel &model) {
+        ++checks;
+        pattern_vals = seed;
+        for (int i = 0; i < nvars; ++i)
+            pattern_vals[free_vars[i]] = values[i];
+        interp.evalInto(pattern, order, pattern_vals);
 
-        const ir::Interpreter interp(width);
-        const auto pattern_vals = interp.evalAll(bound, inputs);
-        const std::uint64_t want = pattern_vals[rule.out_node];
-
-        const pe::PeFunctionalModel model(spec, width);
-        pe::PeOutputs out;
+        const std::span<const std::uint64_t> vals(values);
+        bindRule(spec, rule, vals.first(nph), vals.subspan(nph), &cfg,
+                 &pe_in);
         if (!model.evaluate(cfg, pe_in, &out))
             return false;
         const std::uint64_t got = rule.word_output ? out.word
                                                    : out.bit;
-        return got == want;
+        return got == pattern_vals[rule.out_node];
     };
 
-    const int nvars = static_cast<int>(free_vars.size());
-    auto width_of = [&](NodeId id) {
-        return ir::opResultType(rule.pattern.op(id)) ==
-                       ir::ValueType::kBit
-                   ? 1
-                   : 0; // 0 = word (width set per phase)
-    };
-
-    // Phase 1: exhaustive at reduced width when tractable.
-    if (nvars <= options.exhaustive_max_inputs) {
-        const int w = options.exhaustive_width;
-        std::vector<std::uint64_t> values(nvars, 0);
-        std::function<bool(int)> sweep = [&](int i) -> bool {
-            if (i == nvars)
-                return check(values, w);
-            const std::uint64_t limit =
-                width_of(free_vars[i]) == 1 ? 2 : (1u << w);
-            for (std::uint64_t v = 0; v < limit; ++v) {
-                values[i] = v;
-                if (!sweep(i + 1))
+    auto sweep = [&] {
+        // Phase 1: exhaustive at reduced width when tractable; the
+        // last variable counts fastest.
+        if (nvars <= options.exhaustive_max_inputs) {
+            const int w = options.exhaustive_width;
+            const ir::Interpreter interp(w);
+            const pe::PeFunctionalModel model(spec, w);
+            for (;;) {
+                if (!check(interp, model))
                     return false;
+                int i = nvars - 1;
+                for (; i >= 0; --i) {
+                    const std::uint64_t limit =
+                        is_bit[i] ? 2 : (1u << w);
+                    if (++values[i] < limit)
+                        break;
+                    values[i] = 0;
+                }
+                if (i < 0)
+                    break;
             }
-            return true;
-        };
-        if (!sweep(0))
-            return false;
-    }
-
-    // Phase 2: randomized checking at full width.
-    std::mt19937 rng(options.seed);
-    std::uniform_int_distribution<std::uint32_t> dist(0, 0xFFFF);
-    for (int t = 0; t < options.random_checks; ++t) {
-        std::vector<std::uint64_t> values(nvars);
-        for (int i = 0; i < nvars; ++i) {
-            values[i] = width_of(free_vars[i]) == 1 ? (dist(rng) & 1)
-                                                    : dist(rng);
         }
-        if (!check(values, ir::kWordWidth))
-            return false;
-    }
-    return true;
+
+        // Phase 2: randomized checking at full width.
+        const ir::Interpreter interp(ir::kWordWidth);
+        const pe::PeFunctionalModel model(spec, ir::kWordWidth);
+        std::mt19937 rng(options.seed);
+        std::uniform_int_distribution<std::uint32_t> dist(0, 0xFFFF);
+        for (int t = 0; t < options.random_checks; ++t) {
+            for (int i = 0; i < nvars; ++i)
+                values[i] = is_bit[i] ? (dist(rng) & 1) : dist(rng);
+            if (!check(interp, model))
+                return false;
+        }
+        return true;
+    };
+
+    const bool ok = sweep();
+    telemetry::counter("apex.rewrite.checks").add(checks);
+    return ok;
 }
 
 } // namespace apex::mapper

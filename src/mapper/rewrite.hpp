@@ -1,7 +1,9 @@
 #ifndef APEX_MAPPER_REWRITE_H_
 #define APEX_MAPPER_REWRITE_H_
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ir/graph.hpp"
@@ -102,11 +104,27 @@ class RewriteRuleSynthesizer {
 
 /**
  * Check functional equivalence of @p rule against its pattern on the
- * PE @p spec (exhaustive reduced-width + randomized full-width).
+ * PE @p spec (exhaustive reduced-width + randomized full-width).  The
+ * set-up (evaluation order, models, buffers) is done once per rule;
+ * each test vector costs one pattern and one PE evaluation.  Adds
+ * the number of vectors checked to the apex.rewrite.checks counter.
  * Exposed for tests.
  */
 bool validateRule(const pe::PeSpec &spec, const RewriteRule &rule,
                   const SynthesisOptions &options = {});
+
+/**
+ * Configure the PE to run @p rule on concrete values: @p cfg becomes
+ * rule.config with @p const_vals[c] in the register of
+ * rule.const_bindings[c], and @p in carries @p operands[k] on the
+ * input port of rule.placeholders[k] (bit ports take the low bit,
+ * unbound ports read 0).  The buffers are the caller's, so a loop
+ * that reuses them allocates nothing after its first call.
+ */
+void bindRule(const pe::PeSpec &spec, const RewriteRule &rule,
+              std::span<const std::uint64_t> operands,
+              std::span<const std::uint64_t> const_vals,
+              pe::PeConfig *cfg, pe::PeInputs *in);
 
 /**
  * Merge several per-PE-type rule libraries into one instruction-

@@ -412,6 +412,9 @@ executeMappedHetero(const MappedGraph &mapped,
     for (const pe::PeSpec *spec : specs)
         models.emplace_back(*spec);
     std::vector<std::uint64_t> value(mapped.nodes.size(), 0);
+    std::vector<std::uint64_t> operands;
+    pe::PeConfig cfg;
+    pe::PeInputs in;
 
     // Bind input pads in *application* input order (app_node id
     // order), matching ir::Interpreter::evalByOrder.
@@ -444,26 +447,11 @@ executeMappedHetero(const MappedGraph &mapped,
             break;
           case MappedKind::kPe: {
             const RewriteRule &rule = rules[mn.rule];
-            const pe::PeSpec &spec = *specs[rule.pe_type];
-            pe::PeConfig cfg = rule.config;
-            for (std::size_t c = 0; c < rule.const_bindings.size();
-                 ++c) {
-                cfg.const_val[rule.const_bindings[c].second] =
-                    mn.const_vals[c];
-            }
-            pe::PeInputs in;
-            in.word.assign(spec.word_inputs.size(), 0);
-            in.bit.assign(spec.bit_inputs.size(), 0);
-            for (std::size_t k = 0; k < rule.placeholders.size();
-                 ++k) {
-                const std::uint64_t v = value[mn.inputs[k]];
-                if (rule.pattern.op(rule.placeholders[k]) ==
-                    Op::kInputBit) {
-                    in.bit[rule.input_ports[k]] = v & 1;
-                } else {
-                    in.word[rule.input_ports[k]] = v;
-                }
-            }
+            operands.clear();
+            for (int src : mn.inputs)
+                operands.push_back(value[src]);
+            bindRule(*specs[rule.pe_type], rule, operands,
+                     mn.const_vals, &cfg, &in);
             pe::PeOutputs out;
             const bool ok =
                 models[rule.pe_type].evaluate(cfg, in, &out);

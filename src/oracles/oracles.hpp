@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/deadline.hpp"
+#include "mapper/rewrite.hpp"
 #include "merging/clique.hpp"
 #include "mining/isomorphism.hpp"
 #include "mining/miner.hpp"
@@ -13,11 +14,12 @@
 
 /**
  * @file
- * Differential oracles: the historic implementations of the mining
- * and merging kernels, kept verbatim so tests and benches can check
- * the optimized product code against them byte for byte and use them
- * as perf baselines.  They build as the apex_oracles library, which
- * only tests/ and bench/ link; no product code path reaches them.
+ * Differential oracles: the historic implementations of the mining,
+ * merging and rewrite-validation kernels, kept verbatim so tests and
+ * benches can check the optimized product code against them byte for
+ * byte and use them as perf baselines.  They build as the
+ * apex_oracles library, which only tests/ and bench/ link; no product
+ * code path reaches them.
  */
 
 namespace apex::mining {
@@ -84,5 +86,19 @@ maxWeightCliqueReference(const CliqueProblem &problem,
                          CliqueBound bound = CliqueBound::kColoring);
 
 } // namespace apex::merging
+
+namespace apex::mapper {
+
+/**
+ * The historic rule validation, which redoes its set-up for every
+ * test vector, retained as the differential oracle for
+ * validateRule(): same vectors in the same order, and the same
+ * accept/reject on every rule.  Records no telemetry.
+ */
+bool validateRuleReference(const pe::PeSpec &spec,
+                           const RewriteRule &rule,
+                           const SynthesisOptions &options = {});
+
+} // namespace apex::mapper
 
 #endif // APEX_ORACLES_ORACLES_H_

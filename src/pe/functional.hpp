@@ -39,7 +39,8 @@ struct PeOutputs {
 class PeFunctionalModel {
   public:
     /**
-     * @param spec   PE to model (must outlive the model).
+     * @param spec   PE to model (must outlive the model and not
+     *               change while it is in use).
      * @param width  Datapath width in bits (reduced widths support the
      *               exhaustive rewrite-rule validation sweep).
      */
@@ -70,10 +71,39 @@ class PeFunctionalModel {
     int width() const { return width_; }
 
   private:
+    /** Largest operand count of any op. */
+    static constexpr int kMaxArity = 3;
+
+    /** What the walk reads about one datapath node, resolved once
+     * from the spec so that evaluation does no lookups. */
+    struct NodeInfo {
+        merging::DpNodeKind kind = merging::DpNodeKind::kBlock;
+        bool bit = false; ///< kInput: reads PeInputs::bit.
+        /** kInput: input port position; kConst: const register
+         * position; kBlock: first PeSpec::lut_blocks slot naming the
+         * block.  -1 when there is none. */
+        int index = -1;
+        std::uint64_t ops = 0; ///< kBlock: one bit per supported op.
+        /** kBlock: mux site index per operand port, or -1. */
+        int mux[kMaxArity] = {-1, -1, -1};
+        /** kBlock: lowest-id source of a port without a mux, or -1. */
+        int fixed[kMaxArity] = {-1, -1, -1};
+    };
+
+    /** Walk state of one node during an evaluation. */
+    struct Slot {
+        std::uint64_t value = 0;
+        std::uint8_t state = 0; ///< 0 unvisited, 1 on stack, 2 done.
+    };
+
+    /** Demand-driven DFS: compute node @p id into @p slots.
+     * @return false on a selected cycle or an invalid config. */
+    bool visit(int id, const PeConfig &config, const PeInputs &inputs,
+               Slot *slots) const;
+
     const PeSpec &spec_;
     int width_;
-    std::vector<int> input_index_; ///< node id -> port position.
-    std::vector<int> const_index_; ///< node id -> const reg position.
+    std::vector<NodeInfo> nodes_; ///< Indexed by datapath node id.
 };
 
 } // namespace apex::pe

@@ -189,6 +189,58 @@ TEST(InterpreterTest, SelectPath) {
     EXPECT_EQ(interp.evalByOrder(g, {5})[0], 0u);
 }
 
+TEST(InterpreterTest, MissingInputsReadZero) {
+    GraphBuilder b;
+    Value x = b.input();
+    Value y = b.input();
+    Value sum = b.add(x, y);
+    b.output(sum);
+    b.output(b.add(y, b.constant(3)));
+    Graph g = b.take();
+    Interpreter interp;
+
+    // evalAll: y has no entry.
+    const auto all = interp.evalAll(g, {{x.id(), 5}});
+    EXPECT_EQ(all[y.id()], 0u);
+    EXPECT_EQ(all[sum.id()], 5u);
+
+    // evalByOrder: fewer values than inputs.
+    EXPECT_EQ(interp.evalByOrder(g, {5}),
+              (std::vector<std::uint64_t>{5, 3}));
+    EXPECT_EQ(interp.evalByOrder(g, {}),
+              (std::vector<std::uint64_t>{0, 3}));
+}
+
+TEST(InterpreterTest, EvalIntoTakesInputsAndConstOverrides) {
+    GraphBuilder b;
+    Value x = b.input();
+    Value k = b.constant(10);
+    Value m = b.mul(x, k);
+    b.output(m);
+    Graph g = b.take();
+    const Interpreter interp(4);
+    const std::vector<NodeId> order = g.topoOrder();
+
+    std::vector<std::uint64_t> value(g.size(), 0);
+    for (std::uint64_t v : {3u, 7u, 0x1Fu}) {
+        value[x.id()] = v;
+        value[k.id()] = 0x15; // override, masked to 4 bits = 5
+        interp.evalInto(g, order, value);
+        EXPECT_EQ(value[x.id()], v & 0xF);
+        EXPECT_EQ(value[m.id()], ((v & 0xF) * 5) & 0xF);
+    }
+    // With the const's own param, it matches evalAll.
+    value[x.id()] = 6;
+    value[k.id()] = g.node(k.id()).param;
+    interp.evalInto(g, order, value);
+    EXPECT_EQ(value, interp.evalAll(g, {{x.id(), 6}}));
+
+    // A short array is zero-extended: x and k read 0.
+    std::vector<std::uint64_t> none;
+    interp.evalInto(g, order, none);
+    EXPECT_EQ(none, std::vector<std::uint64_t>(g.size(), 0));
+}
+
 TEST(SignatureTest, IsomorphicGraphsShareCode) {
     // Same structure built in different node orders.
     GraphBuilder b1;

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
+#include <map>
 #include <random>
 
 #include "apps/apps.hpp"
+#include "core/explorer.hpp"
 #include "ir/builder.hpp"
 #include "ir/interpreter.hpp"
 #include "mapper/rewrite.hpp"
@@ -12,7 +13,9 @@
 #include "mapper/select.hpp"
 #include "merging/merge.hpp"
 #include "model/tech.hpp"
+#include "oracles/oracles.hpp"
 #include "pe/baseline.hpp"
+#include "runtime/telemetry.hpp"
 
 namespace apex::mapper {
 namespace {
@@ -122,6 +125,141 @@ TEST(RewriteTest, ValidationCatchesCorruptedRule) {
     // commutative, so the rule must now fail validation).
     std::swap(rule->input_ports[0], rule->input_ports[1]);
     EXPECT_FALSE(validateRule(spec, *rule));
+}
+
+/** Every rule the synthesizer builds for @p spec before validation:
+ * with no vectors to check, validateRule accepts every embedding. */
+std::vector<RewriteRule>
+candidateRules(const pe::PeSpec &spec,
+               const std::vector<Graph> &patterns)
+{
+    SynthesisOptions unchecked;
+    unchecked.random_checks = 0;
+    unchecked.exhaustive_max_inputs = -1;
+    return RewriteRuleSynthesizer(spec, unchecked)
+        .synthesizeLibrary(patterns);
+}
+
+/** Vectors a passing rule is checked on under default options. */
+long long
+expectedChecks(const RewriteRule &rule)
+{
+    const SynthesisOptions opt;
+    std::vector<ir::NodeId> vars = rule.placeholders;
+    for (const auto &[node, reg] : rule.const_bindings)
+        vars.push_back(node);
+    long long exhaustive = 1;
+    for (ir::NodeId v : vars)
+        exhaustive *= ir::opResultType(rule.pattern.op(v)) ==
+                              ir::ValueType::kBit
+                          ? 2
+                          : 1 << opt.exhaustive_width;
+    const bool swept =
+        static_cast<int>(vars.size()) <= opt.exhaustive_max_inputs;
+    return (swept ? exhaustive : 0) + opt.random_checks;
+}
+
+/** Corrupted copies of @p rule, tagged by kind. */
+std::vector<std::pair<std::string, RewriteRule>>
+mutations(const pe::PeSpec &spec, const RewriteRule &rule)
+{
+    std::vector<std::pair<std::string, RewriteRule>> out;
+    // Swap the ports of two same-typed placeholders.
+    for (std::size_t a = 0; a < rule.placeholders.size(); ++a) {
+        for (std::size_t b = a + 1; b < rule.placeholders.size(); ++b) {
+            if (rule.pattern.op(rule.placeholders[a]) !=
+                    rule.pattern.op(rule.placeholders[b]) ||
+                rule.input_ports[a] == rule.input_ports[b]) {
+                continue;
+            }
+            RewriteRule m = rule;
+            std::swap(m.input_ports[a], m.input_ports[b]);
+            out.emplace_back("swapped inputs", std::move(m));
+            a = b = rule.placeholders.size(); // first pair only
+        }
+    }
+    // Flip the select of the first mux on a configured block.
+    for (std::size_t i = 0; i < spec.muxes.size(); ++i) {
+        if (rule.config.block_op[spec.muxes[i].node] == Op::kNumOps)
+            continue;
+        RewriteRule m = rule;
+        m.config.mux_sel[i] = (m.config.mux_sel[i] + 1) %
+                              static_cast<int>(
+                                  spec.muxes[i].sources.size());
+        out.emplace_back("flipped mux", std::move(m));
+        break;
+    }
+    // Give the sink's block another op (outside its set if need be).
+    const int sink = rule.node_to_dp[rule.out_node];
+    const Op op = rule.config.block_op[sink];
+    Op wrong = op == Op::kAdd ? Op::kSub : Op::kAdd;
+    for (Op o : spec.dp.nodes[sink].ops)
+        if (o != op && ir::opArity(o) == ir::opArity(op))
+            wrong = o;
+    RewriteRule m = rule;
+    m.config.block_op[sink] = wrong;
+    out.emplace_back("wrong opcode", std::move(m));
+    // Bind the first constant to another register of its type.
+    if (!rule.const_bindings.empty()) {
+        const int reg = rule.const_bindings[0].second;
+        for (std::size_t r = 0; r < spec.const_regs.size(); ++r) {
+            if (static_cast<int>(r) == reg ||
+                spec.dp.nodes[spec.const_regs[r]].type !=
+                    spec.dp.nodes[spec.const_regs[reg]].type) {
+                continue;
+            }
+            RewriteRule c = rule;
+            c.const_bindings[0].second = static_cast<int>(r);
+            out.emplace_back("wrong const register", std::move(c));
+            break;
+        }
+    }
+    return out;
+}
+
+TEST(RewriteDifferentialTest, ValidationAgreesWithReference) {
+    const core::Explorer ex;
+    std::vector<core::PeVariant> variants = {ex.baselineVariant()};
+    for (const apps::AppInfo &app : apps::allApps()) {
+        if (app.name == "gaussian" || app.name == "camera" ||
+            app.name == "harris" || app.name == "fast") {
+            variants.push_back(ex.subsetVariant(app));
+            variants.push_back(ex.specVariant(app));
+        }
+    }
+    ASSERT_EQ(variants.size(), 9u);
+
+    telemetry::Counter &checks =
+        telemetry::counter("apex.rewrite.checks");
+    std::map<std::string, int> mutated, caught;
+    int candidates = 0;
+    for (const core::PeVariant &v : variants) {
+        for (const RewriteRule &rule :
+             candidateRules(v.spec, v.patterns)) {
+            ++candidates;
+            const long long before = checks.value();
+            const bool ok = validateRule(v.spec, rule);
+            ASSERT_EQ(ok, validateRuleReference(v.spec, rule))
+                << v.name << " rule of size " << rule.size;
+            if (!ok)
+                continue;
+            EXPECT_EQ(checks.value() - before, expectedChecks(rule))
+                << v.name << ": a passing rule checks every vector";
+            for (const auto &[kind, m] : mutations(v.spec, rule)) {
+                const bool m_ok = validateRule(v.spec, m);
+                ASSERT_EQ(m_ok, validateRuleReference(v.spec, m))
+                    << v.name << " " << kind;
+                ++mutated[kind];
+                caught[kind] += !m_ok;
+            }
+        }
+    }
+    EXPECT_GT(candidates, 300);
+    for (const char *kind : {"swapped inputs", "flipped mux",
+                             "wrong opcode", "wrong const register"}) {
+        EXPECT_GT(mutated[kind], 0) << kind;
+        EXPECT_GT(caught[kind], 0) << kind << " never rejected";
+    }
 }
 
 /** Map with the baseline PE library and check functional equality

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <random>
+#include <set>
 
 #include "ir/builder.hpp"
 #include "merging/merge.hpp"
@@ -282,6 +284,171 @@ TEST(MergedPeTest, MergedSpecExecutesBothPatterns) {
     EXPECT_TRUE(out.word == 7u || out.word == 0xFFF9u ||
                 out.word == 0u)
         << "unexpected sub result " << out.word;
+}
+
+/** A datapath node for hand-built specs. */
+merging::DpNode
+dpNode(merging::DpNodeKind kind, std::set<Op> ops = {},
+       ir::ValueType type = ir::ValueType::kWord,
+       bool is_output = false)
+{
+    merging::DpNode n;
+    n.kind = kind;
+    n.ops = std::move(ops);
+    n.type = type;
+    n.is_output = is_output;
+    return n;
+}
+
+TEST(PeFunctionalTest, CycleBehindUnusedOutputIsRejected) {
+    using merging::DpNodeKind;
+    merging::Datapath dp;
+    dp.nodes = {
+        dpNode(DpNodeKind::kInput),                  // 0: x
+        dpNode(DpNodeKind::kBlock, {Op::kAdd}),      // 1: a
+        dpNode(DpNodeKind::kBlock, {Op::kAdd}),      // 2: b
+        dpNode(DpNodeKind::kBlock, {Op::kAdd},       // 3: word out
+               ir::ValueType::kWord, true),
+        dpNode(DpNodeKind::kBlock, {Op::kSlt},       // 4: bit out
+               ir::ValueType::kBit, true),
+    };
+    // a.0 <- {x, b}, b.0 <- {x, a}: a loop when both muxes pick the
+    // other block.  Only the bit output reads it.
+    dp.edges = {{0, 1, 0}, {2, 1, 0}, {0, 1, 1}, {0, 2, 0},
+                {1, 2, 0}, {0, 2, 1}, {0, 3, 0}, {0, 3, 1},
+                {1, 4, 0}, {0, 4, 1}};
+    const PeSpec spec = makePeSpec(dp, "pe_loop");
+    ASSERT_EQ(spec.word_outputs, std::vector<int>{3});
+    ASSERT_EQ(spec.bit_outputs, std::vector<int>{4});
+    ASSERT_EQ(spec.muxes.size(), 2u);
+
+    PeConfig cfg = defaultConfig(spec);
+    cfg.block_op[1] = cfg.block_op[2] = cfg.block_op[3] = Op::kAdd;
+    cfg.block_op[4] = Op::kSlt;
+    cfg.mux_sel = {1, 1}; // a <- b, b <- a
+    PeInputs in;
+    in.word = {21};
+    const PeFunctionalModel model(spec);
+    PeOutputs out;
+    EXPECT_FALSE(model.evaluate(cfg, in, &out))
+        << "the word output is acyclic, but evaluate checks both";
+    std::uint64_t word = 0;
+    ASSERT_TRUE(model.evaluateNode(cfg, in, 3, &word));
+    EXPECT_EQ(word, 42u);
+
+    cfg.mux_sel = {1, 0}; // a <- b <- x: acyclic
+    ASSERT_TRUE(model.evaluate(cfg, in, &out));
+    EXPECT_EQ(out.word, 42u);
+    EXPECT_TRUE(out.has_bit);
+    EXPECT_EQ(out.bit, 0u) << "a = 63 is not below x = 21";
+}
+
+TEST(PeFunctionalTest, EachLutBlockReadsItsOwnTable) {
+    using merging::DpNodeKind;
+    merging::Datapath dp;
+    for (int i = 0; i < 3; ++i)
+        dp.nodes.push_back(dpNode(DpNodeKind::kInput, {},
+                                  ir::ValueType::kBit));
+    for (int i = 0; i < 2; ++i) {
+        dp.nodes.push_back(dpNode(DpNodeKind::kBlock, {Op::kLut},
+                                  ir::ValueType::kBit, true));
+        for (int p = 0; p < 3; ++p)
+            dp.edges.push_back({p, 3 + i, p});
+    }
+    PeSpec spec = makePeSpec(dp, "pe_two_luts");
+    ASSERT_EQ(spec.lut_blocks, (std::vector<int>{3, 4}));
+    // A block named twice reads its first entry.
+    spec.lut_blocks.push_back(3);
+
+    PeConfig cfg = defaultConfig(spec);
+    cfg.block_op[3] = cfg.block_op[4] = Op::kLut;
+    cfg.lut_table = {0x96, 0x80, 0xFF}; // xor3, and3, (shadowed)
+    const PeFunctionalModel model(spec);
+    for (unsigned v = 0; v < 8; ++v) {
+        PeInputs in;
+        in.bit = {v >> 2 & 1, v >> 1 & 1, v & 1};
+        PeOutputs out;
+        for (int sel = 0; sel < 2; ++sel) {
+            cfg.bit_out_sel = sel;
+            ASSERT_TRUE(model.evaluate(cfg, in, &out));
+            EXPECT_EQ(out.bit, (cfg.lut_table[sel] >> v) & 1)
+                << "block " << 3 + sel << " inputs " << v;
+        }
+    }
+}
+
+TEST(PeFunctionalTest, PortWithoutMuxReadsLowestIdSource) {
+    using merging::DpNodeKind;
+    merging::Datapath dp;
+    dp.nodes = {dpNode(DpNodeKind::kInput), dpNode(DpNodeKind::kInput),
+                dpNode(DpNodeKind::kBlock, {Op::kSub},
+                       ir::ValueType::kWord, true)};
+    // Port 0 lists the higher-id source first.
+    dp.edges = {{1, 2, 0}, {0, 2, 0}, {1, 2, 1}};
+    PeSpec spec = makePeSpec(dp, "pe_no_mux");
+    ASSERT_EQ(spec.muxes.size(), 1u);
+    spec.muxes.clear(); // port 0 keeps two sources but no select
+
+    PeConfig cfg = defaultConfig(spec);
+    cfg.block_op[2] = Op::kSub;
+    PeInputs in;
+    in.word = {50, 8};
+    const PeFunctionalModel model(spec);
+    PeOutputs out;
+    ASSERT_TRUE(model.evaluate(cfg, in, &out));
+    EXPECT_EQ(out.word, 42u) << "port 0 must read node 0 (50)";
+}
+
+TEST(PeFunctionalTest, ReusedModelMatchesFreshModel) {
+    const PeSpec spec = baselinePe();
+    std::mt19937 rng(7);
+    auto pick = [&](int n) {
+        return static_cast<int>(rng() % static_cast<unsigned>(n));
+    };
+    for (int width : {3, ir::kWordWidth}) {
+        const PeFunctionalModel reused(spec, width);
+        int accepted = 0;
+        for (int trial = 0; trial < 500; ++trial) {
+            PeConfig cfg = defaultConfig(spec);
+            // One select in eight is out of range.
+            for (std::size_t m = 0; m < spec.muxes.size(); ++m)
+                cfg.mux_sel[m] =
+                    pick(static_cast<int>(spec.muxes[m].sources.size()) +
+                         1);
+            for (int b : spec.dp.blockIds()) {
+                const auto &ops = spec.dp.nodes[b].ops;
+                auto it = ops.begin();
+                std::advance(it, pick(static_cast<int>(ops.size())));
+                cfg.block_op[b] = *it;
+            }
+            for (auto &c : cfg.const_val)
+                c = rng() & 0xFFFF;
+            for (auto &t : cfg.lut_table)
+                t = rng() & 0xFF;
+            cfg.word_out_sel =
+                pick(static_cast<int>(spec.word_outputs.size()));
+            cfg.bit_out_sel =
+                pick(static_cast<int>(spec.bit_outputs.size()));
+            PeInputs in;
+            for (std::size_t i = 0; i < spec.word_inputs.size(); ++i)
+                in.word.push_back(rng() & 0xFFFF);
+            for (std::size_t i = 0; i < spec.bit_inputs.size(); ++i)
+                in.bit.push_back(rng() & 1);
+
+            PeOutputs got, want;
+            const bool ok = reused.evaluate(cfg, in, &got);
+            ASSERT_EQ(ok, PeFunctionalModel(spec, width)
+                              .evaluate(cfg, in, &want));
+            EXPECT_EQ(got.word, want.word);
+            EXPECT_EQ(got.bit, want.bit);
+            EXPECT_EQ(got.has_word, want.has_word);
+            EXPECT_EQ(got.has_bit, want.has_bit);
+            accepted += ok;
+        }
+        // Both outcomes are exercised.
+        EXPECT_GT(accepted, 0);
+        EXPECT_LT(accepted, 500);
+    }
 }
 
 } // namespace
