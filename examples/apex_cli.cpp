@@ -97,13 +97,17 @@
  * Built-in application names: camera harris gaussian unsharp resnet
  * mobilenet laplacian stereo fast.
  */
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -500,6 +504,57 @@ sweepRequestFromFlags(int argc, char **argv)
     return request;
 }
 
+/**
+ * Per-cell stage-time table for `sweep --diagnostics` under --trace:
+ * wall time per (cell scope, span name), summed over the spans that
+ * started inside [@p from_ns, @p to_ns] on the telemetry clock.  The
+ * window, not a position in the event store, selects the sweep's
+ * spans, so eviction cannot shift it.  Rows sort by (scope, stage);
+ * "" when no span started in the window.
+ */
+std::string
+stageTimeTable(std::uint64_t from_ns, std::uint64_t to_ns)
+{
+    telemetry::collect();
+    const double from_us = static_cast<double>(from_ns) / 1e3;
+    const double to_us = static_cast<double>(to_ns) / 1e3;
+    struct Row {
+        double ms = 0.0;
+        long spans = 0;
+    };
+    std::map<std::pair<std::string, std::string>, Row> rows;
+    for (const telemetry::SpanEvent &ev : telemetry::events()) {
+        if (ev.ts_us < from_us || ev.ts_us > to_us)
+            continue;
+        Row &row = rows[{ev.scope, ev.name}];
+        row.ms += ev.dur_us / 1e3;
+        ++row.spans;
+    }
+    if (rows.empty())
+        return "";
+    std::size_t scope_w = 4; // "cell"
+    std::size_t stage_w = 5; // "stage"
+    for (const auto &[key, row] : rows) {
+        scope_w = std::max(scope_w, std::max<std::size_t>(
+                                        key.first.size(), 3));
+        stage_w = std::max(stage_w, key.second.size());
+    }
+    std::ostringstream os;
+    os << "  " << std::left << std::setw(static_cast<int>(scope_w))
+       << "cell" << "  " << std::setw(static_cast<int>(stage_w))
+       << "stage" << "  " << std::right << std::setw(10) << "ms"
+       << "  " << std::setw(6) << "spans" << '\n';
+    for (const auto &[key, row] : rows) {
+        os << "  " << std::left << std::setw(static_cast<int>(scope_w))
+           << (key.first.empty() ? "(-)" : key.first) << "  "
+           << std::setw(static_cast<int>(stage_w)) << key.second
+           << "  " << std::right << std::setw(10) << std::fixed
+           << std::setprecision(2) << row.ms << "  " << std::setw(6)
+           << row.spans << '\n';
+    }
+    return os.str();
+}
+
 int
 cmdSweep(int argc, char **argv)
 {
@@ -535,8 +590,10 @@ cmdSweep(int argc, char **argv)
     std::signal(SIGINT, onInterrupt);
     std::signal(SIGTERM, onInterrupt);
     core::Explorer ex(model::defaultTech(), ex_options);
+    const std::uint64_t sweep_from_ns = telemetry::monotonicNanos();
     core::SweepOutcome outcome = core::runSweep(
         apps::allApps(), ex, model::defaultTech(), *options);
+    const std::uint64_t sweep_to_ns = telemetry::monotonicNanos();
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
     const core::SweepRuntimeStats stats = outcome.stats;
@@ -554,8 +611,10 @@ cmdSweep(int argc, char **argv)
             std::fputs(reply.report.diagnostics.toString().c_str(),
                        stderr);
         std::fprintf(stderr, "runtime: %s\n", stats.toString().c_str());
-        // Per-cell stage-time breakdown (filled while --trace is on).
-        const std::string stage_table = reply.report.stageTimeTable();
+        // Per-cell stage-time breakdown (spans exist only under
+        // --trace).
+        const std::string stage_table =
+            stageTimeTable(sweep_from_ns, sweep_to_ns);
         if (!stage_table.empty()) {
             std::fputs("stage times (ms, from spans):\n", stderr);
             std::fputs(stage_table.c_str(), stderr);

@@ -1,7 +1,5 @@
 #include "core/status.hpp"
 
-#include <algorithm>
-#include <iomanip>
 #include <sstream>
 
 namespace apex {
@@ -185,34 +183,6 @@ ExplorationReport::summary() const
            << errorCodeName(f.status.code()) << "] after "
            << f.attempts << (f.attempts == 1 ? " attempt" : " attempts")
            << ": " << f.status.message() << '\n';
-    }
-    return os.str();
-}
-
-std::string
-ExplorationReport::stageTimeTable() const
-{
-    if (stage_times.empty())
-        return "";
-    std::size_t scope_w = 4; // "cell"
-    std::size_t stage_w = 5; // "stage"
-    for (const StageTime &t : stage_times) {
-        scope_w = std::max(scope_w, std::max<std::size_t>(
-                                        t.scope.size(), 3));
-        stage_w = std::max(stage_w, t.stage.size());
-    }
-    std::ostringstream os;
-    os << "  " << std::left << std::setw(static_cast<int>(scope_w))
-       << "cell" << "  " << std::setw(static_cast<int>(stage_w))
-       << "stage" << "  " << std::right << std::setw(10) << "ms"
-       << "  " << std::setw(6) << "spans" << '\n';
-    for (const StageTime &t : stage_times) {
-        os << "  " << std::left << std::setw(static_cast<int>(scope_w))
-           << (t.scope.empty() ? "(-)" : t.scope) << "  "
-           << std::setw(static_cast<int>(stage_w)) << t.stage << "  "
-           << std::right << std::setw(10) << std::fixed
-           << std::setprecision(2) << t.ms << "  " << std::setw(6)
-           << t.count << '\n';
     }
     return os.str();
 }

@@ -249,15 +249,6 @@ struct StageFailure {
     int attempts = 1;    ///< P&R attempts consumed before giving up.
 };
 
-/** Wall time one pipeline stage spent inside one cell ("app/variant"
- * scope; "" for work outside any cell, e.g. journal replay). */
-struct StageTime {
-    std::string scope;
-    std::string stage; ///< Span name ("mine.level", "route", ...).
-    double ms = 0.0;
-    long count = 0; ///< Spans aggregated into this row.
-};
-
 /** Sweep-level roll-up: what ran, what was skipped, and why. */
 struct ExplorationReport {
     int evaluated = 0; ///< (app, variant) pairs that completed.
@@ -267,19 +258,11 @@ struct ExplorationReport {
     int degraded = 0;
     std::vector<StageFailure> failures;
     Diagnostics diagnostics;
-    /** Per-cell stage-time breakdown, aggregated from the spans this
-     * sweep emitted.  Filled only while tracing is enabled (--trace),
-     * sorted by (scope, stage). */
-    std::vector<StageTime> stage_times;
 
     bool allOk() const { return failures.empty(); }
 
     /** One-paragraph summary plus one line per failure. */
     std::string summary() const;
-
-    /** Aligned text table of stage_times ("" when empty); printed by
-     * the CLI under --diagnostics when tracing is on. */
-    std::string stageTimeTable() const;
 };
 
 } // namespace apex

@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -263,36 +262,6 @@ sweepCounters()
     return *counters;
 }
 
-/** Aggregate the spans this sweep emitted into per-(cell, stage)
- * wall-time rows.  @p first_event is the size of the collected event
- * store when the sweep started (events before it belong to earlier
- * work in the process). */
-void
-aggregateStageTimes(std::size_t first_event,
-                    ExplorationReport *report)
-{
-    telemetry::collect();
-    const std::vector<telemetry::SpanEvent> &evs =
-        telemetry::events();
-    std::map<std::pair<std::string, std::string>,
-             std::pair<double, long>>
-        rows;
-    for (std::size_t i = first_event; i < evs.size(); ++i) {
-        auto &row = rows[{evs[i].scope, evs[i].name}];
-        row.first += evs[i].dur_us / 1e3;
-        row.second += 1;
-    }
-    report->stage_times.reserve(rows.size());
-    for (const auto &[key, val] : rows) {
-        StageTime t;
-        t.scope = key.first;
-        t.stage = key.second;
-        t.ms = val.first;
-        t.count = val.second;
-        report->stage_times.push_back(std::move(t));
-    }
-}
-
 /** Append @p slot's build outcome to the journal (once). */
 void
 journalApp(SweepJournal &journal, int index, AppSlot &slot)
@@ -461,8 +430,6 @@ buildApp(SweepState &st, std::size_t i, runtime::TaskGraph &graph)
     const apps::AppInfo &app = st.apps[i];
     const SweepOptions &options = st.options;
     AppSlot &slot = st.slots[i];
-    if (slot.skip_build)
-        return;
     if (cancelRequested(options)) {
         graph.cancel();
         return;
@@ -534,16 +501,21 @@ evaluateInProcess(SweepState &st, std::size_t i, int j)
 }
 
 /**
- * Plan: one build task per app and — in-process isolation only — one
- * eval task per recipe cell, depending only on its own app's build,
- * so builds and evaluations of different apps overlap (no barrier).
- * Every task writes only its own slot; ordering-sensitive work waits
- * for assembly.
+ * Plan: one build task per app replay left unbuilt and — in-process
+ * isolation only — one eval task per cell replay left unfilled,
+ * depending only on its own app's build, so builds and evaluations of
+ * different apps overlap (no barrier).  Every task writes only its
+ * own slot; ordering-sensitive work waits for assembly.  A replayed
+ * app or cell gets no task: its task would have returned before any
+ * fault hook, deadline poll, journal append or progress report.
  */
 void
 planTasks(SweepState &st, runtime::TaskGraph &graph)
 {
     for (std::size_t i = 0; i < st.apps.size(); ++i) {
+        const AppSlot &slot = st.slots[i];
+        if (slot.skip_build)
+            continue;
         const std::string &name = st.apps[i].name;
         const runtime::TaskId build =
             graph.add("build:" + name, [&st, &graph, i]() -> Status {
@@ -554,7 +526,9 @@ planTasks(SweepState &st, runtime::TaskGraph &graph)
         // (executeForked).
         if (st.options.isolate != IsolateMode::kInProcess)
             continue;
-        for (int j = 0; j < kJournalCellsPerApp; ++j)
+        for (int j = 0; j < kJournalCellsPerApp; ++j) {
+            if (slot.cells[j].ran)
+                continue;
             graph.add(
                 "eval:" + name + "#" + std::to_string(j),
                 [&st, i, j]() -> Status {
@@ -562,6 +536,7 @@ planTasks(SweepState &st, runtime::TaskGraph &graph)
                     return Status::okStatus();
                 },
                 {build});
+        }
     }
 }
 
@@ -673,6 +648,47 @@ executeForked(SweepState &st, SweepRuntimeStats *stats)
     stats->worker_restarts = workers.stats().restarts;
     stats->worker_retries = workers.stats().retries;
     stats->worker_quarantined = workers.stats().quarantined;
+}
+
+/**
+ * Plan + execute, when replay left work: run the task graph on
+ * out->stats.jobs lanes (the caller's pool, else a pool owned by this
+ * call, else inline for one lane — exactly the sequential driver's
+ * schedule, fault-injection call ordinals included), then, under
+ * process isolation, dispatch the cells still to evaluate to forked
+ * workers.  A fully replayed sweep starts no pool, plans no task and
+ * forks no worker.
+ */
+void
+executeRemaining(SweepState &st, SweepOutcome *out)
+{
+    const bool work_left =
+        std::any_of(st.slots.begin(), st.slots.end(),
+                    [](const AppSlot &s) { return !s.skip_build; });
+    if (!work_left)
+        return;
+    runtime::ThreadPool *pool = st.options.pool;
+    std::unique_ptr<runtime::ThreadPool> owned_pool;
+    if (pool == nullptr && out->stats.jobs > 1) {
+        owned_pool =
+            std::make_unique<runtime::ThreadPool>(out->stats.jobs);
+        pool = owned_pool.get();
+    }
+    const runtime::PoolStats pool_before =
+        pool != nullptr ? pool->stats() : runtime::PoolStats{};
+
+    // Expected per-cell failures live in the slots, so a non-ok run()
+    // can only mean cancellation — which assembly reads off the
+    // ran/build_ran flags directly.
+    runtime::TaskGraph graph(pool);
+    graph.setTraceId(st.options.trace_id);
+    planTasks(st, graph);
+    (void)graph.run();
+    if (st.options.isolate == IsolateMode::kProcess)
+        executeForked(st, &out->stats);
+    if (pool != nullptr)
+        out->stats.tasks_stolen =
+            pool->stats().tasks_stolen - pool_before.tasks_stolen;
 }
 
 /** Surface @p cell's build-time truncations as warnings: clique
@@ -877,30 +893,15 @@ runSweep(const std::vector<apps::AppInfo> &apps,
         sweep_trace.set(options.trace_id);
     APEX_SPAN("sweep", {{"apps", static_cast<long long>(apps.size())}});
 
-    // Event-store position when this sweep starts: only spans emitted
-    // from here on feed the report's stage-time breakdown.
-    std::size_t first_event = 0;
-    if (telemetry::tracingEnabled()) {
-        telemetry::collect();
-        first_event = telemetry::events().size();
-    }
-
-    // Resolve the execution resources.  jobs == 1 (the default) means
-    // no pool at all: the task graph runs inline in insertion order,
-    // which is exactly the sequential driver's schedule (including
-    // fault-injection call ordinals).
-    runtime::ThreadPool *pool = options.pool;
-    std::unique_ptr<runtime::ThreadPool> owned_pool;
-    if (pool == nullptr) {
-        int n = options.jobs;
-        if (n <= 0)
-            n = runtime::ThreadPool::defaultParallelism();
-        if (n > 1) {
-            owned_pool = std::make_unique<runtime::ThreadPool>(n);
-            pool = owned_pool.get();
-        }
-    }
-    out.stats.jobs = pool != nullptr ? pool->parallelism() : 1;
+    // Resolve the lane count up front; executeRemaining starts a pool
+    // only if replay leaves work.  jobs == 1 (the default) means no
+    // pool at all: the task graph runs inline in insertion order.
+    int lanes = options.jobs > 0
+                    ? options.jobs
+                    : runtime::ThreadPool::defaultParallelism();
+    if (options.pool != nullptr)
+        lanes = options.pool->parallelism();
+    out.stats.jobs = std::max(1, lanes);
 
     SweepState st{apps, explorer, tech, options, options.eval,
                   std::vector<AppSlot>(apps.size())};
@@ -909,8 +910,6 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     runtime::ArtifactCache *cache = st.eval_opts.cache;
     const runtime::CacheStats cache_before =
         cache != nullptr ? cache->stats() : runtime::CacheStats{};
-    const runtime::PoolStats pool_before =
-        pool != nullptr ? pool->stats() : runtime::PoolStats{};
     SweepCounters &counters = st.counters;
     const long long tasks_before = counters.tasks.value();
     const long long build_us_before = counters.build_us.value();
@@ -921,16 +920,8 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     out.stats.cells_replayed = st.journal.replayedCells();
     counters.cells_replayed.add(st.journal.replayedCells());
 
-    // --- Plan + execute ---------------------------------------------
-    // Expected per-cell failures live in the slots, so a non-ok run()
-    // can only mean cancellation — which assembly reads off the
-    // ran/build_ran flags directly.
-    runtime::TaskGraph graph(pool);
-    graph.setTraceId(options.trace_id);
-    planTasks(st, graph);
-    (void)graph.run();
-    if (options.isolate == IsolateMode::kProcess)
-        executeForked(st, &out.stats);
+    // --- Plan + execute (only what replay left) ---------------------
+    executeRemaining(st, &out);
 
     // --- Assemble ---------------------------------------------------
     assemble(st, &out);
@@ -940,11 +931,6 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     // contribution is the delta against the entry snapshots.
     out.stats.tasks_run =
         static_cast<long>(counters.tasks.value() - tasks_before);
-    if (pool != nullptr) {
-        const runtime::PoolStats after = pool->stats();
-        out.stats.tasks_stolen =
-            after.tasks_stolen - pool_before.tasks_stolen;
-    }
     if (cache != nullptr) {
         const runtime::CacheStats after = cache->stats();
         out.stats.cache_hits = after.hits - cache_before.hits;
@@ -959,8 +945,6 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                         1e3;
     out.stats.wall_ms =
         static_cast<double>(elapsedUs(wall_start)) / 1e3;
-    if (telemetry::tracingEnabled())
-        aggregateStageTimes(first_event, &out.report);
 
     // --- Durability verdict ----------------------------------------
     // A journal that died mid-run (disk full during an append) left

@@ -160,7 +160,7 @@ struct SweepEntry {
 
 /** Runtime counters of one sweep (reported under --diagnostics). */
 struct SweepRuntimeStats {
-    int jobs = 1;                  ///< Lanes actually used.
+    int jobs = 1;                  ///< Lanes requested.
     long tasks_run = 0;            ///< Graph tasks executed.
     long tasks_stolen = 0;         ///< Executed off a foreign lane.
     long cache_hits = 0;           ///< evaluate() cache hits.

@@ -449,11 +449,14 @@ collect()
         ring->drain(&g.collected);
     // Bound the retained store: a daemon traces indefinitely, and an
     // unbounded `collected` would be a slow leak.  Evict oldest-first
-    // and count it, so served trace slices can report the loss.
+    // and count it, so served trace slices can report the loss.  Once
+    // over the cap, evict down to 7/8 of it in one pass: erasing from
+    // the front shifts the whole store, so trimming to exactly the
+    // cap would cost O(cap) on every later call.
     const std::size_t cap =
         g.collected_cap.load(std::memory_order_relaxed);
     if (g.collected.size() > cap) {
-        const std::size_t excess = g.collected.size() - cap;
+        const std::size_t excess = g.collected.size() - (cap - cap / 8);
         g.collected.erase(g.collected.begin(),
                           g.collected.begin() +
                               static_cast<std::ptrdiff_t>(excess));

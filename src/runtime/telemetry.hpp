@@ -82,7 +82,7 @@ int currentLane();
 /**
  * Scoped (app, variant) attribution: while alive, every span the
  * calling thread opens carries this cell identity, which is what the
- * per-cell stage-time breakdown in ExplorationReport groups by.
+ * per-cell stage-time table of `apexc sweep --diagnostics` groups by.
  * Default-constructed it does nothing; set() arms it (callers gate
  * the string build on tracingEnabled() to keep the disabled path
  * allocation-free).
@@ -234,8 +234,10 @@ long long evictedEvents();
  * io thread calls this, when serving a `trace` request. */
 std::vector<SpanEvent> eventsForTrace(std::uint64_t trace_id);
 
-/** Cap on events retained by collect() (oldest evicted beyond it);
- * bounds daemon memory when tracing stays on across many requests. */
+/** Cap on events retained by collect(); bounds daemon memory when
+ * tracing stays on across many requests.  A collect() that overflows
+ * it evicts the oldest events down to 7/8 of the cap, so eviction
+ * costs amortized O(1) per event. */
 void setCollectedCap(std::size_t cap);
 
 /** collect() + render Chrome trace-event JSON (chrome://tracing,

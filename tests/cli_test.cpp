@@ -193,6 +193,31 @@ TEST(Cli, WorkerKillSweepCompletesWithQuarantine)
     EXPECT_NE(report.find("(crash)"), std::string::npos) << report;
 }
 
+TEST(Cli, DiagnosticsStageTableComesFromTheTrace)
+{
+    // apexc folds the spans its sweep recorded into a per-cell
+    // stage-time table: under --trace a post-PnR sweep lists a place
+    // row; without --trace there are no spans and no table.
+    ScratchDir dir("stage_table");
+    const std::string traced_err = dir.str() + "/traced.err";
+    ASSERT_EQ(run(apexc + " sweep --level pnr --jobs 2 --diagnostics" +
+                  " --trace " + dir.str() + "/trace.json > /dev/null 2> " +
+                  traced_err),
+              0);
+    const std::string traced = slurp(traced_err);
+    const std::size_t table = traced.find("stage times (ms, from spans):");
+    ASSERT_NE(table, std::string::npos) << traced;
+    EXPECT_NE(traced.find(" place ", table), std::string::npos) << traced;
+
+    const std::string plain_err = dir.str() + "/plain.err";
+    ASSERT_EQ(run(apexc + " sweep --level pnr --jobs 2 --diagnostics" +
+                  " > /dev/null 2> " + plain_err),
+              0);
+    const std::string plain = slurp(plain_err);
+    EXPECT_NE(plain.find("runtime: jobs=2"), std::string::npos) << plain;
+    EXPECT_EQ(plain.find("stage times"), std::string::npos) << plain;
+}
+
 TEST(Cli, SigtermCancelsCooperativelyWithCancelledCode)
 {
     // Post-PnR sweeps run for seconds; a SIGTERM shortly after launch

@@ -5,10 +5,12 @@
  * the exponential stages, and graceful degradation when a cell's
  * budget runs out.
  */
+#include <pthread.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -522,6 +524,107 @@ TEST(Durability, ResumeAfterCleanRunReplaysEverything)
     EXPECT_EQ(second.stats.cells_replayed, 6);
     EXPECT_EQ(second.stats.tasks_run, 0);
     EXPECT_EQ(outcomeBytes(first), outcomeBytes(second));
+}
+
+/** fork() calls made by this process so far; a pthread_atfork hook
+ * counts them, so a test can prove a sweep forked no worker. */
+std::atomic<int> g_forks{0};
+
+int
+forksSoFar()
+{
+    static const bool hooked =
+        ::pthread_atfork([] { g_forks.fetch_add(1); }, nullptr,
+                         nullptr) == 0;
+    EXPECT_TRUE(hooked);
+    return g_forks.load();
+}
+
+TEST(Durability, FullyReplayedSweepStartsNoPoolAndPlansNoTasks)
+{
+    // Replay fills every cell, so there is nothing to build, evaluate
+    // or dispatch: no pool task runs and no worker forks, yet the
+    // report and the requested lane count are unchanged.
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+    telemetry::Counter &pool_tasks =
+        telemetry::counter("apex.pool.tasks_run");
+    for (const IsolateMode isolate :
+         {IsolateMode::kInProcess, IsolateMode::kProcess}) {
+        const bool forked = isolate == IsolateMode::kProcess;
+        ScratchDir dir(forked ? "replay_all_process"
+                              : "replay_all_thread");
+        SweepOptions options;
+        options.jobs = 4;
+        options.isolate = isolate;
+        options.journal_dir = dir.str();
+        const SweepOutcome first =
+            runSweep(apps_list, ex, tech, options);
+        ASSERT_EQ(first.report.evaluated, 6) << forked;
+
+        options.resume = true;
+        const long long pool_before = pool_tasks.value();
+        const int forks_before = forksSoFar();
+        const SweepOutcome second =
+            runSweep(apps_list, ex, tech, options);
+        EXPECT_EQ(second.stats.cells_replayed, 6) << forked;
+        EXPECT_EQ(second.stats.jobs, 4) << forked;
+        EXPECT_EQ(second.stats.tasks_run, 0) << forked;
+        EXPECT_EQ(pool_tasks.value() - pool_before, 0) << forked;
+        EXPECT_EQ(forksSoFar() - forks_before, 0) << forked;
+        EXPECT_EQ(outcomeBytes(first), outcomeBytes(second)) << forked;
+    }
+}
+
+TEST(Durability, ResumeRunsOnlyTheMissingCellAndItsBuild)
+{
+    ScratchDir dir("one_missing");
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+    SweepOptions options;
+    options.journal_dir = dir.str();
+    const SweepOutcome reference =
+        runSweep(apps_list, ex, tech, options);
+    ASSERT_EQ(reference.report.evaluated, 6);
+
+    // Tear the payload of the last cell record.  At jobs = 1 cells
+    // are journaled in recipe order, so that is the last app's last
+    // cell; replay drops only that torn tail frame.
+    const std::string path = dir.str() + "/sweep.journal";
+    {
+        std::fstream f(path, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        std::string all((std::istreambuf_iterator<char>(f)),
+                        std::istreambuf_iterator<char>());
+        const std::size_t at = all.rfind("apexsweep 2 cell sum");
+        ASSERT_NE(at, std::string::npos);
+        const std::size_t header_end = all.find('\n', at);
+        ASSERT_NE(header_end, std::string::npos);
+        f.seekp(static_cast<std::streamoff>(header_end + 1));
+        f.put(all[header_end + 1] == 'X' ? 'Y' : 'X');
+    }
+
+    std::mutex mu;
+    std::vector<SweepProgress> seen;
+    options.resume = true;
+    options.jobs = 4;
+    options.progress = [&mu, &seen](const SweepProgress &p) {
+        std::lock_guard<std::mutex> lock(mu);
+        seen.push_back(p);
+    };
+    telemetry::Counter &pool_tasks =
+        telemetry::counter("apex.pool.tasks_run");
+    const long long pool_before = pool_tasks.value();
+    const SweepOutcome resumed =
+        runSweep(apps_list, ex, tech, options);
+    EXPECT_EQ(resumed.stats.cells_replayed, 5);
+    // The last app's build (its variants are not journaled) plus the
+    // one lost cell; the fully replayed first app runs nothing.
+    EXPECT_EQ(resumed.stats.tasks_run, 2);
+    EXPECT_EQ(pool_tasks.value() - pool_before, 2);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].app, apps_list.back().name);
+    EXPECT_EQ(outcomeBytes(reference), outcomeBytes(resumed));
 }
 
 TEST(Durability, SweepSurvivesSigkillAndResumesByteIdentical)

@@ -15,6 +15,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <sstream>
@@ -483,7 +484,7 @@ TEST(ServiceEndToEnd, ConcurrentIdenticalSweepsCoalesce)
     constexpr int kClients = 4;
     std::vector<std::string> outputs(kClients);
     std::vector<int> codes(kClients, -1);
-    std::vector<bool> coalesced_acks(kClients, false);
+    std::vector<char> coalesced_acks(kClients, false);
     std::vector<std::thread> threads;
     for (int i = 0; i < kClients; ++i)
         threads.emplace_back([&, i] {
@@ -1304,9 +1305,9 @@ TEST(ServiceEndToEnd, CoalescedJoinersFetchTheirOwnTraceSlices)
 
     constexpr int kClients = 3;
     std::vector<std::uint64_t> ids(kClients, 0);
-    std::vector<bool> slice_ok(kClients, false);
-    std::vector<bool> ids_match(kClients, false);
-    std::vector<bool> nonempty(kClients, false);
+    std::vector<char> slice_ok(kClients, false);
+    std::vector<char> ids_match(kClients, false);
+    std::vector<char> nonempty(kClients, false);
     std::vector<std::thread> threads;
     for (int i = 0; i < kClients; ++i)
         threads.emplace_back([&, i] {
@@ -1344,6 +1345,73 @@ TEST(ServiceEndToEnd, CoalescedJoinersFetchTheirOwnTraceSlices)
     }
     telemetry::setTracingEnabled(false);
     telemetry::resetTracingForTesting();
+}
+
+TEST(ServiceEndToEnd, TraceSlicesServedWhileSweepsRun)
+{
+    // The io thread collects spans for `trace` requests while the
+    // executor runs sweeps that emit them.  A sweep never reads the
+    // shared event store itself, so the two share no unlocked state
+    // (the TSan job runs this), and a small store cap keeps eviction
+    // happening throughout.
+    ServerOptions options;
+    options.unix_path = scratchSocket("trace_live");
+    options.jobs = 2;
+    Server server(options);
+    ASSERT_TRUE(server.start().ok());
+    Client tracer;
+    ASSERT_TRUE(tracer.connect(options.unix_path).ok());
+    telemetry::resetTracingForTesting();
+    telemetry::setTracingEnabled(true);
+    telemetry::setCollectedCap(64);
+
+    constexpr int kSweeps = 20;
+    std::atomic<bool> sweeping{true};
+    std::atomic<int> swept{0};
+    std::vector<std::uint64_t> trace_ids(kSweeps);
+    for (std::uint64_t &id : trace_ids)
+        id = mintTraceId();
+    std::thread sweeper([&] {
+        Client client;
+        if (client.connect(options.unix_path).ok()) {
+            for (int i = 0; i < kSweeps; ++i) {
+                SweepRequest req = expiredSweepRequest();
+                req.id = static_cast<std::uint64_t>(i + 1);
+                req.trace_id = trace_ids[i];
+                SweepReply reply;
+                if (!client.runSweep(req, &reply).ok())
+                    break;
+                swept.fetch_add(1);
+            }
+            client.goodbye();
+        }
+        sweeping.store(false);
+    });
+
+    int fetched = 0;
+    bool slices_ok = true;
+    while (sweeping.load() || fetched < 3) {
+        const std::uint64_t id =
+            trace_ids[static_cast<std::size_t>(fetched) % kSweeps];
+        TraceReply slice;
+        if (!tracer.trace(id, &slice).ok()) {
+            slices_ok = false;
+            break;
+        }
+        for (const telemetry::SpanEvent &ev : slice.events)
+            slices_ok &= ev.trace_id == id;
+        ++fetched;
+    }
+    sweeper.join();
+    tracer.goodbye();
+    server.stop();
+    telemetry::setCollectedCap(131072); // restore the default
+    telemetry::setTracingEnabled(false);
+    telemetry::resetTracingForTesting();
+
+    EXPECT_EQ(swept.load(), kSweeps);
+    EXPECT_TRUE(slices_ok);
+    EXPECT_GE(fetched, 3);
 }
 
 TEST(ServiceEndToEnd, StatuszRingSamplesDaemonVitals)

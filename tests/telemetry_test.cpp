@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -517,6 +518,38 @@ TEST(TraceId, CollectedCapEvictsOldestAndCounts)
     for (const SpanEvent &ev : events())
         saw_last |= ev.args.find("\"i\":24") != std::string::npos;
     EXPECT_TRUE(saw_last);
+    setCollectedCap(131072); // restore the default
+}
+
+TEST(TraceId, CollectedCapEvictionIsAmortized)
+{
+    // Once full, the store must not shift itself on every collect():
+    // an overflowing collect() evicts down to 7/8 of the cap, so only
+    // about one call in cap/8 evicts at all.
+    TracingScope tracing;
+    setCollectedCap(80);
+    const long long evicted_before = evictedEvents();
+    constexpr int kSpans = 400;
+    int evicting_calls = 0;
+    std::size_t max_size = 0;
+    for (int i = 0; i < kSpans; ++i) {
+        {
+            APEX_SPAN("t.amortized", {{"i", i}});
+        }
+        const long long before = evictedEvents();
+        collect();
+        evicting_calls += evictedEvents() != before ? 1 : 0;
+        max_size = std::max(max_size, events().size());
+    }
+    EXPECT_LE(max_size, 80u);
+    EXPECT_LE(evicting_calls, 1 + kSpans / 10);
+    // Every span is either still stored or counted as evicted.
+    EXPECT_EQ(evictedEvents() - evicted_before +
+                  static_cast<long long>(events().size()),
+              kSpans);
+    EXPECT_TRUE(!events().empty() &&
+                events().back().args.find("\"i\":399") !=
+                    std::string::npos);
     setCollectedCap(131072); // restore the default
 }
 
