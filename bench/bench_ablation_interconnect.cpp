@@ -26,7 +26,8 @@ main()
     mapper::InstructionSelector selector(synth.synthesizeLibrary({}));
     const auto sel = selector.map(app.graph);
     if (!sel.success) {
-        std::printf("  mapping failed: %s\n", sel.error.c_str());
+        std::printf("  mapping failed: %s\n",
+                    sel.status.toString().c_str());
         return 1;
     }
 
@@ -34,7 +35,7 @@ main()
     const auto placement = cgra::place(fabric, sel.mapped);
     if (!placement.success) {
         std::printf("  placement failed: %s\n",
-                    placement.error.c_str());
+                    placement.status.toString().c_str());
         return 1;
     }
 

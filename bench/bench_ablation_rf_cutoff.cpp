@@ -25,7 +25,7 @@ main()
     mapper::InstructionSelector selector(synth.synthesizeLibrary({}));
     const auto base_sel = selector.map(app.graph);
     if (!base_sel.success) {
-        std::printf("  mapping failed: %s\n", base_sel.error.c_str());
+        std::printf("  mapping failed: %s\n", base_sel.status.toString().c_str());
         return 1;
     }
     pipeline::pipelinePe(spec, tech);

@@ -39,8 +39,9 @@ main()
         const auto rg = greedy.map(app.graph);
         const auto rd = dp.map(app.graph);
         if (!rg.success || !rd.success) {
+            const Status &failed = rg.success ? rd.status : rg.status;
             std::printf("  %-10s FAILED (%s)\n", app.name.c_str(),
-                        (rg.success ? rd.error : rg.error).c_str());
+                        failed.toString().c_str());
             continue;
         }
         std::printf("  %-10s %12d %12d %9.1f%%\n", app.name.c_str(),

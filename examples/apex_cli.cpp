@@ -128,9 +128,13 @@
 #include "service/protocol.hpp"
 #include "service/version.hpp"
 
+#include "flags.hpp"
+
 namespace {
 
 using namespace apex;
+using cli::flagValue;
+using cli::hasFlag;
 
 /** Set by the SIGINT/SIGTERM handler; polled by the sweep's tasks.
  * A lock-free atomic store is async-signal-safe, and the sweep
@@ -188,24 +192,6 @@ loadFailure(const Status &status)
     return exitCodeFor(status.code());
 }
 
-const char *
-flagValue(int argc, char **argv, const char *flag)
-{
-    for (int i = 0; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 0; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
-}
-
 /** --isolate MODE, accepting both "--isolate process" and the
  * "--isolate=process" spelling; null when absent. */
 const char *
@@ -225,9 +211,9 @@ int
 requestedJobs(int argc, char **argv)
 {
     if (const char *s = flagValue(argc, argv, "--jobs"))
-        return std::atoi(s);
+        return cli::parseNumber<int>("--jobs", s);
     if (const char *env = std::getenv("APEX_JOBS"))
-        return std::atoi(env);
+        return cli::parseNumber<int>("APEX_JOBS", env);
     return 1;
 }
 
@@ -297,10 +283,10 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
     if (!app)
         return loadFailure(app.status());
     core::ExplorerOptions options;
-    if (const char *s = flagValue(argc, argv, "--support"))
-        options.miner.min_support = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--max-nodes"))
-        options.miner.max_pattern_nodes = std::atoi(s);
+    options.miner.min_support = cli::numberFlag(
+        argc, argv, "--support", options.miner.min_support);
+    options.miner.max_pattern_nodes = cli::numberFlag(
+        argc, argv, "--max-nodes", options.miner.max_pattern_nodes);
     const auto pool = makePool(requestedJobs(argc, argv));
     options.pool = pool.get();
     core::Explorer ex(model::defaultTech(), options);
@@ -490,17 +476,17 @@ sweepRequestFromFlags(int argc, char **argv)
         request.level = s;
     if (const char *s = isolateFlag(argc, argv))
         request.isolate = s;
-    if (const char *s = flagValue(argc, argv, "--cell-retries"))
-        request.cell_retries = std::atoi(s);
+    request.cell_retries = cli::numberFlag(argc, argv, "--cell-retries",
+                                           request.cell_retries);
     // An explicit budget that is already spent (--deadline 0) must
     // stay bounded, but 0 means "unbounded" on the wire: send it as
     // an already-expired negative bound.
     if (const char *s = flagValue(argc, argv, "--deadline")) {
-        const double ms = std::atof(s);
+        const double ms = cli::parseNumber<double>("--deadline", s);
         request.deadline_ms = ms > 0 ? ms : -1.0;
     }
-    if (const char *s = flagValue(argc, argv, "--cell-deadline"))
-        request.cell_deadline_ms = std::atof(s);
+    request.cell_deadline_ms = cli::numberFlag(
+        argc, argv, "--cell-deadline", request.cell_deadline_ms);
     return request;
 }
 
@@ -701,12 +687,9 @@ writeMergedTrace(const char *path, service::Client *client,
 int
 cmdClientTop(int argc, char **argv, service::Client &client)
 {
-    int max_samples = 0;
-    if (const char *s = flagValue(argc, argv, "--samples"))
-        max_samples = std::atoi(s);
-    const char *interval = flagValue(argc, argv, "--interval");
+    const int max_samples = cli::numberFlag(argc, argv, "--samples", 0);
     const double interval_ms =
-        interval != nullptr ? std::atof(interval) : 0.0;
+        cli::numberFlag(argc, argv, "--interval", 0.0);
     const bool json = hasFlag(argc, argv, "--json");
 
     std::signal(SIGINT, onInterrupt);
@@ -745,7 +728,7 @@ connectDaemon(int argc, char **argv, service::Client *client)
     if (const char *path = flagValue(argc, argv, "--socket"))
         return client->connect(path);
     if (const char *port = flagValue(argc, argv, "--port"))
-        return client->connectTcp(std::atoi(port));
+        return client->connectTcp(cli::parseNumber<int>("--port", port));
     return Status(ErrorCode::kInvalidArgument,
                   "client requires --socket PATH or --port N");
 }
@@ -829,8 +812,8 @@ cmdClient(int argc, char **argv)
     // was given: the daemon stamps it on the request's spans either
     // way, so a trace can still be fetched after the fact.
     request.trace_id = service::mintTraceId();
-    if (const char *s = flagValue(argc, argv, "--priority"))
-        request.priority = std::atoi(s);
+    request.priority =
+        cli::numberFlag(argc, argv, "--priority", request.priority);
     request.want_progress = hasFlag(argc, argv, "--progress");
 
     // Progress and the coalescing verdict go to stderr: stdout is
@@ -850,9 +833,9 @@ cmdClient(int argc, char **argv)
     if (resilient) {
         service::RetryPolicy policy;
         policy.max_attempts =
-            std::atoi(flagValue(argc, argv, "--retries")) + 1;
-        if (const char *s = flagValue(argc, argv, "--retry-base-ms"))
-            policy.base_ms = std::atof(s);
+            cli::numberFlag(argc, argv, "--retries", 0) + 1;
+        policy.base_ms = cli::numberFlag(argc, argv, "--retry-base-ms",
+                                         policy.base_ms);
         const char *path = flagValue(argc, argv, "--socket");
         const char *port = flagValue(argc, argv, "--port");
         if (path == nullptr && port == nullptr)
@@ -865,7 +848,9 @@ cmdClient(int argc, char **argv)
             APEX_SPAN("client.sweep");
             s = service::runSweepResilient(
                 path != nullptr ? path : "",
-                port != nullptr ? std::atoi(port) : 0, request,
+                port != nullptr ? cli::parseNumber<int>("--port", port)
+                                : 0,
+                request,
                 policy, &reply, on_progress, &stats);
         }
         if (!s.ok())
@@ -1020,7 +1005,8 @@ main(int argc, char **argv)
             }
             periodic =
                 std::make_unique<telemetry::PeriodicMetricsWriter>(
-                    metrics_path, std::atof(s));
+                    metrics_path,
+                    cli::parseNumber<double>("--metrics-interval", s));
         }
         const int rc = runCommand(argc, argv);
         periodic.reset(); // Join the flusher (final flush included).

@@ -49,8 +49,6 @@
  */
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 
@@ -61,9 +59,13 @@
 #include "service/server.hpp"
 #include "service/version.hpp"
 
+#include "flags.hpp"
+
 namespace {
 
 using namespace apex;
+using cli::flagValue;
+using cli::hasFlag;
 
 /** SIGTERM/SIGINT latch; the main thread polls it. */
 volatile std::sig_atomic_t g_shutdown = 0;
@@ -72,24 +74,6 @@ extern "C" void
 onShutdown(int /*signum*/)
 {
     g_shutdown = 1;
-}
-
-const char *
-flagValue(int argc, char **argv, const char *flag)
-{
-    for (int i = 0; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 0; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
 }
 
 } // namespace
@@ -113,29 +97,35 @@ main(int argc, char **argv)
                      "[--metrics-interval MS]]\n");
         return 2;
     }
-    if (const char *s = flagValue(argc, argv, "--tcp-port"))
-        options.tcp_port = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--executors"))
-        options.executors = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--jobs"))
-        options.jobs = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--queue-depth"))
-        options.queue_depth =
-            static_cast<std::size_t>(std::atoi(s));
     if (const char *s = flagValue(argc, argv, "--cache-dir"))
         options.cache_dir = s;
-    if (const char *s = flagValue(argc, argv, "--mem-budget"))
+    double metrics_interval_ms = 0.0;
+    try {
+        const auto number = [&](const char *flag, auto fallback) {
+            return cli::numberFlag(argc, argv, flag, fallback);
+        };
+        options.tcp_port = number("--tcp-port", options.tcp_port);
+        options.executors = number("--executors", options.executors);
+        options.jobs = number("--jobs", options.jobs);
+        options.queue_depth =
+            number("--queue-depth", options.queue_depth);
         options.mem_budget_bytes =
-            static_cast<std::size_t>(std::atoll(s));
-    if (const char *s = flagValue(argc, argv, "--session-cap"))
-        options.session_cap = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--retry-after-ms"))
-        options.retry_after_ms = std::atof(s);
-    if (const char *s = flagValue(argc, argv, "--admission-hold-ms"))
-        options.admission_hold_ms = std::atof(s);
-    if (const char *s =
-            flagValue(argc, argv, "--statusz-interval-ms"))
-        options.statusz_interval_ms = std::atof(s);
+            number("--mem-budget", options.mem_budget_bytes);
+        options.session_cap =
+            number("--session-cap", options.session_cap);
+        options.retry_after_ms =
+            number("--retry-after-ms", options.retry_after_ms);
+        options.admission_hold_ms =
+            number("--admission-hold-ms", options.admission_hold_ms);
+        options.statusz_interval_ms = number(
+            "--statusz-interval-ms", options.statusz_interval_ms);
+        metrics_interval_ms =
+            number("--metrics-interval", metrics_interval_ms);
+    } catch (const ApexError &e) {
+        std::fprintf(stderr, "apexd: %s\n",
+                     e.status().toString().c_str());
+        return exitCodeFor(e.code());
+    }
 
     // Structured event log: episodes (admission saturation, accept
     // exhaustion, cache tier flips) as JSONL, correlated by trace id.
@@ -163,7 +153,7 @@ main(int argc, char **argv)
 
     const char *metrics_path = flagValue(argc, argv, "--metrics-out");
     std::unique_ptr<telemetry::PeriodicMetricsWriter> periodic;
-    if (const char *s = flagValue(argc, argv, "--metrics-interval")) {
+    if (flagValue(argc, argv, "--metrics-interval") != nullptr) {
         if (metrics_path == nullptr) {
             std::fprintf(stderr,
                          "apexd: --metrics-interval requires "
@@ -171,7 +161,7 @@ main(int argc, char **argv)
             return 2;
         }
         periodic = std::make_unique<telemetry::PeriodicMetricsWriter>(
-            metrics_path, std::atof(s));
+            metrics_path, metrics_interval_ms);
     }
 
     // Handlers go in before start(): a SIGTERM racing the startup

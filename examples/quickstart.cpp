@@ -84,7 +84,7 @@ main()
         synth.synthesizeLibrary(to_merge));
     const auto sel = selector.map(app);
     if (!sel.success) {
-        std::printf("mapping failed: %s\n", sel.error.c_str());
+        std::printf("mapping failed: %s\n", sel.status.toString().c_str());
         return 1;
     }
     std::printf("== mapped: %d PEs for %zu compute ops ==\n",

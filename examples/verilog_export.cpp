@@ -54,7 +54,7 @@ main()
         synth.synthesizeLibrary(pe_ml.patterns));
     const auto sel = selector.map(app.graph);
     if (!sel.success) {
-        std::printf("mapping failed: %s\n", sel.error.c_str());
+        std::printf("mapping failed: %s\n", sel.status.toString().c_str());
         return 1;
     }
     const cgra::Fabric fabric(32, 16);

@@ -93,7 +93,6 @@ placeHetero(const Fabric &fabric, const MappedGraph &mapped,
     } outcome_counters{result};
     if (Status fault = checkFault(FaultStage::kPlace); !fault.ok()) {
         result.status = std::move(fault);
-        result.error = result.status.toString();
         return result;
     }
     result.loc.assign(mapped.nodes.size(), Coord{-1, -1});
@@ -149,7 +148,6 @@ placeHetero(const Fabric &fabric, const MappedGraph &mapped,
                << slots_of_class[c].size();
             result.status =
                 Status(ErrorCode::kBudgetExhausted, os.str());
-            result.error = os.str();
             return result;
         }
     }

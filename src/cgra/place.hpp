@@ -42,7 +42,6 @@ struct PlacerOptions {
 /** Result of placement. */
 struct PlacementResult {
     bool success = false;
-    std::string error; ///< Legacy mirror of status (when failed).
     /** Typed outcome: kBudgetExhausted when the fabric is too
      * small (retrying another seed cannot help), kPlaceFailed
      * otherwise. */

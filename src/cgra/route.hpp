@@ -43,7 +43,6 @@ struct RouterOptions {
 /** Result of routing. */
 struct RouteResult {
     bool success = false;
-    std::string error; ///< Legacy mirror of status (when failed).
     /** Typed outcome (kRouteFailed on congestion / unroutable nets). */
     Status status;
     /** Per contracted edge: the links (Fabric::linkIndex) crossed. */

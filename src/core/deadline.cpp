@@ -18,15 +18,6 @@ Deadline::after(double ms)
     return d;
 }
 
-Deadline
-Deadline::at(Clock::time_point when)
-{
-    Deadline d;
-    d.finite_ = true;
-    d.at_ = when;
-    return d;
-}
-
 bool
 Deadline::expired() const
 {

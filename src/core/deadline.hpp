@@ -45,9 +45,6 @@ class Deadline {
     /** Expires @p ms milliseconds from now (<= 0: already expired). */
     static Deadline after(double ms);
 
-    /** Expires at @p when. */
-    static Deadline at(Clock::time_point when);
-
     bool isInfinite() const { return !finite_; }
 
     /**

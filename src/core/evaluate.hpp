@@ -38,7 +38,6 @@ enum class EvalLevel {
 /** Everything the benchmarks report. */
 struct EvalResult {
     bool success = false;
-    std::string error;   ///< Legacy mirror of status (when failed).
     /** Typed outcome with context chain (which app/variant, after how
      * many attempts). */
     Status status;

@@ -95,12 +95,6 @@ Explorer::tryTopPatterns(const Graph &app, int k,
     return result;
 }
 
-std::vector<Graph>
-Explorer::topPatterns(const Graph &app, int k) const
-{
-    return tryTopPatterns(app, k).valueOr({});
-}
-
 PeVariant
 Explorer::baselineVariant() const
 {

@@ -37,7 +37,6 @@ evaluateHetero(const apps::AppInfo &app, const HeteroCgra &cgra_def,
     const int num_types = static_cast<int>(cgra_def.types.size());
     if (num_types == 0) {
         r.status = Status(ErrorCode::kInvalidArgument, "no PE types");
-        r.error = r.status.message();
         return r;
     }
 
@@ -55,12 +54,9 @@ evaluateHetero(const apps::AppInfo &app, const HeteroCgra &cgra_def,
     mapper::InstructionSelector selector(rules);
     mapper::SelectionResult sel = selector.map(app.graph);
     if (!sel.success) {
-        r.status = (sel.status.ok()
-                        ? Status(ErrorCode::kMappingFailed, sel.error)
-                        : sel.status)
+        r.status = std::move(sel.status)
                        .withContext("mapping '" + app.name +
                                     "' onto '" + cgra_def.name + "'");
-        r.error = "mapping failed: " + sel.error;
         return r;
     }
 
@@ -113,22 +109,11 @@ evaluateHetero(const apps::AppInfo &app, const HeteroCgra &cgra_def,
             width *= 2;
     }
     if (!placement.success || !routing.success) {
-        Status failure;
-        if (placement.success) {
-            failure = routing.status.ok()
-                          ? Status(ErrorCode::kRouteFailed,
-                                   routing.error)
-                          : routing.status;
-        } else {
-            failure = placement.status.ok()
-                          ? Status(ErrorCode::kPlaceFailed,
-                                   placement.error)
-                          : placement.status;
-        }
+        Status failure = placement.success ? std::move(routing.status)
+                                           : std::move(placement.status);
         r.status = std::move(failure).withContext(
             "place-and-route of '" + app.name + "' on '" +
             cgra_def.name + "'");
-        r.error = "place-and-route failed: " + r.status.message();
         return r;
     }
     r.fabric_width = width;

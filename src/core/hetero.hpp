@@ -35,8 +35,7 @@ struct HeteroCgra {
 /** Evaluation record for a heterogeneous fabric. */
 struct HeteroEvalResult {
     bool success = false;
-    std::string error; ///< Legacy mirror of status (when failed).
-    Status status;     ///< Typed outcome.
+    Status status; ///< Typed outcome.
 
     std::vector<int> pe_count_by_type; ///< PE instances per type.
     int pe_count = 0;                  ///< Total PE instances.

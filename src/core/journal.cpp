@@ -17,10 +17,12 @@ namespace {
 using namespace enc;
 
 constexpr std::string_view kJournalMagic = "apexsweep";
-// Version 2: AppRecord cells carry mine_capped_levels.  A version
-// mismatch is a fingerprint mismatch: the old journal is ignored and
-// the sweep restarts from scratch (never mis-decoded).
-constexpr int kJournalVersion = 2;
+// Version 2: AppRecord cells carry mine_capped_levels.  Version 3:
+// a cell record carries each fact once — a success is its
+// serializeEvalResult blob alone, a failure its attempts and Status.
+// A version mismatch is a fingerprint mismatch: the old journal is
+// ignored and the sweep restarts from scratch (never mis-decoded).
+constexpr int kJournalVersion = 3;
 
 std::string
 hex64(std::uint64_t v)
@@ -104,14 +106,15 @@ encodeCell(const SweepJournal::CellRecord &rec)
 {
     const EvalResult &r = rec.result;
     std::ostringstream os;
-    os << rec.app << ' ' << rec.cell << '\n';
+    os << rec.app << ' ' << rec.cell << ' ' << (r.success ? 1 : 0)
+       << '\n';
     putStr(os, rec.variant);
-    os << (r.success ? 1 : 0) << ' ' << r.pnr_attempts << ' '
-       << (r.degraded ? 1 : 0) << '\n';
-    putStatus(os, r.status);
-    putStr(os, r.error);
-    if (r.success)
+    if (r.success) {
         putStr(os, serializeEvalResult(r));
+    } else {
+        os << r.pnr_attempts << ' ' << (r.degraded ? 1 : 0) << '\n';
+        putStatus(os, r.status);
+    }
     putDiagnostics(os, r.diagnostics);
     return os.str();
 }
@@ -120,22 +123,13 @@ bool
 decodeCell(const std::string &payload, SweepJournal::CellRecord *out)
 {
     std::istringstream is(payload);
-    if (!(is >> out->app >> out->cell))
+    int success = 0;
+    if (!(is >> out->app >> out->cell >> success))
         return false;
     is.get();
     if (!getStr(is, &out->variant))
         return false;
-    int success = 0;
-    int degraded = 0;
     EvalResult r;
-    if (!(is >> success >> r.pnr_attempts >> degraded))
-        return false;
-    is.get();
-    r.degraded = degraded != 0;
-    if (!getStatus(is, &r.status))
-        return false;
-    if (!getStr(is, &r.error))
-        return false;
     if (success != 0) {
         std::string blob;
         if (!getStr(is, &blob))
@@ -144,6 +138,14 @@ decodeCell(const std::string &payload, SweepJournal::CellRecord *out)
         if (!parsed.ok())
             return false;
         r = std::move(parsed).value();
+    } else {
+        int degraded = 0;
+        if (!(is >> r.pnr_attempts >> degraded))
+            return false;
+        is.get();
+        r.degraded = degraded != 0;
+        if (!getStatus(is, &r.status))
+            return false;
     }
     if (!getDiagnostics(is, &r.diagnostics))
         return false;

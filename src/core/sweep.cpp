@@ -53,33 +53,26 @@ enum RecipeCell { kBaseline = 0, kSubset = 1, kSpecialized = 2 };
 static_assert(kJournalCellsPerApp == 3,
               "journal cell layout mirrors the recipe cells");
 
-/** One (app, variant) evaluation slot; written only by its task (or
- * by the sequential journal-replay pass before the graph runs). */
+/** Run state of one (app, variant) evaluation slot; what the recipe
+ * produced for it is the app record's CellInfo.  Written only by its
+ * task (or by the sequential journal-replay pass before the graph
+ * runs). */
 struct Cell {
     std::optional<PeVariant> variant; ///< Set by the build task.
-    bool present = false; ///< The recipe produced this cell (variant
-                          ///< built, or known from the journal).
-    std::string name;     ///< Variant name (valid when present).
-    int non_optimal_merges = 0; ///< Clique searches cut short.
-    int merge_timeouts = 0;     ///< ... of which by deadline.
-    int mine_capped_levels = 0; ///< Mining levels truncated at cap.
-    bool ran = false;           ///< Evaluation outcome available.
-    bool replayed = false;      ///< ... restored from the journal.
+    bool ran = false;              ///< Evaluation outcome available.
+    bool replayed = false;         ///< ... restored from the journal.
     bool deadline_skipped = false; ///< Sweep deadline beat the task.
     EvalResult result;
 };
 
-/** Per-application slots; written only by this app's tasks. */
+/** Per-application slots; written only by this app's tasks.  The
+ * build outcome is kept as the journal record it is appended as. */
 struct AppSlot {
+    SweepJournal::AppRecord rec;
     bool build_ran = false;
     bool skip_build = false; ///< Fully replayed; build is redundant.
-    bool journaled = false;  ///< App record already on disk.
     bool deadline_skipped = false;
-    Status validate_status; ///< Non-ok => whole app skipped.
-    bool spec_failed = false;
-    std::string spec_name;
-    Status spec_status;
-    std::array<Cell, 3> cells;
+    std::array<Cell, kJournalCellsPerApp> cells;
 };
 
 using Clock = std::chrono::steady_clock;
@@ -93,17 +86,19 @@ elapsedUs(Clock::time_point from)
             .count());
 }
 
-/** Move @p v into @p cell, caching the fields the report needs even
- * after the variant itself is gone (or was never rebuilt). */
+/** Move recipe cell @p j's variant @p v into @p slot, recording in
+ * its CellInfo the fields the report needs even after the variant
+ * itself is gone (or was never rebuilt). */
 void
-setVariant(Cell &cell, PeVariant v)
+setVariant(AppSlot &slot, int j, PeVariant v)
 {
-    cell.present = true;
-    cell.name = v.name;
-    cell.non_optimal_merges = v.non_optimal_merges;
-    cell.merge_timeouts = v.merge_timeouts;
-    cell.mine_capped_levels = v.mine_capped_levels;
-    cell.variant = std::move(v);
+    SweepJournal::CellInfo &info = slot.rec.cells[j];
+    info.has_variant = true;
+    info.variant = v.name;
+    info.non_optimal_merges = v.non_optimal_merges;
+    info.merge_timeouts = v.merge_timeouts;
+    info.mine_capped_levels = v.mine_capped_levels;
+    slot.cells[j].variant = std::move(v);
 }
 
 } // namespace
@@ -194,12 +189,10 @@ evaluateCellGuarded(const apps::AppInfo &app, const PeVariant &variant,
             r.status = e.status().withContext(
                 "evaluating '" + app.name + "' on '" + variant.name +
                 "'");
-            r.error = r.status.toString();
         } catch (const std::exception &e) {
             r.status = Status(
                 ErrorCode::kInternal,
                 std::string("unexpected exception: ") + e.what());
-            r.error = r.status.toString();
         }
         return r;
     };
@@ -262,30 +255,6 @@ sweepCounters()
     return *counters;
 }
 
-/** Append @p slot's build outcome to the journal (once). */
-void
-journalApp(SweepJournal &journal, int index, AppSlot &slot)
-{
-    if (slot.journaled || !journal.active())
-        return;
-    slot.journaled = true;
-    SweepJournal::AppRecord rec;
-    rec.app = index;
-    rec.validate_status = slot.validate_status;
-    rec.spec_failed = slot.spec_failed;
-    rec.spec_name = slot.spec_name;
-    rec.spec_status = slot.spec_status;
-    for (int j = 0; j < kJournalCellsPerApp; ++j) {
-        const Cell &cell = slot.cells[j];
-        rec.cells[j].has_variant = cell.present;
-        rec.cells[j].variant = cell.name;
-        rec.cells[j].non_optimal_merges = cell.non_optimal_merges;
-        rec.cells[j].merge_timeouts = cell.merge_timeouts;
-        rec.cells[j].mine_capped_levels = cell.mine_capped_levels;
-    }
-    journal.appendApp(rec);
-}
-
 /**
  * What one runSweep call threads through its four stages — replay,
  * plan, execute, assemble: the caller's inputs, the per-app slots
@@ -336,24 +305,25 @@ void
 finishCell(SweepState &st, std::size_t app, int j, EvalResult result,
            long eval_us)
 {
+    const std::string &name = st.slots[app].rec.cells[j].variant;
     Cell &cell = st.slots[app].cells[j];
-    cell.ran = true;
-    cell.result = std::move(result);
     st.counters.tasks.add(1);
     st.counters.eval_us.add(eval_us);
     SweepJournal::CellRecord rec;
     rec.app = static_cast<int>(app);
     rec.cell = j;
-    rec.variant = cell.name;
-    rec.result = cell.result;
+    rec.variant = name;
+    rec.result = std::move(result);
     st.journal.appendCell(rec);
+    cell.result = std::move(rec.result);
+    cell.ran = true;
     if (!st.options.progress)
         return;
     SweepProgress p;
     p.done = st.progress_done.fetch_add(1) + 1;
     p.total = static_cast<int>(st.apps.size()) * kJournalCellsPerApp;
     p.app = st.apps[app].name;
-    p.variant = cell.name;
+    p.variant = name;
     st.options.progress(p);
 }
 
@@ -388,25 +358,15 @@ replayJournal(SweepState &st)
         if (rec == nullptr)
             continue;
         AppSlot &slot = st.slots[i];
-        slot.journaled = true;
-        slot.validate_status = rec->validate_status;
-        slot.spec_failed = rec->spec_failed;
-        slot.spec_name = rec->spec_name;
-        slot.spec_status = rec->spec_status;
+        slot.rec = *rec;
         bool missing_eval = false;
         for (int j = 0; j < kJournalCellsPerApp; ++j) {
-            const SweepJournal::CellInfo &info = rec->cells[j];
-            Cell &cell = slot.cells[j];
-            cell.present = info.has_variant;
-            cell.name = info.variant;
-            cell.non_optimal_merges = info.non_optimal_merges;
-            cell.merge_timeouts = info.merge_timeouts;
-            cell.mine_capped_levels = info.mine_capped_levels;
-            if (!info.has_variant)
+            if (!rec->cells[j].has_variant)
                 continue;
             const SweepJournal::CellRecord *done =
                 st.journal.cellRecord(i, j);
             if (done != nullptr) {
+                Cell &cell = slot.cells[j];
                 cell.ran = true;
                 cell.replayed = true;
                 cell.result = done->result;
@@ -454,31 +414,34 @@ buildApp(SweepState &st, std::size_t i, runtime::TaskGraph &graph)
 
     // Boundary validation: a corrupt application skips only itself,
     // never the sweep.
+    SweepJournal::AppRecord &rec = slot.rec;
     if (Status s = ir::validate(app.graph); !s.ok()) {
-        slot.validate_status = std::move(s).withContext(
+        rec.validate_status = std::move(s).withContext(
             "validating application '" + app.name + "'");
     } else {
         if (options.include_baseline)
-            setVariant(slot.cells[kBaseline],
-                       st.explorer.baselineVariant());
+            setVariant(slot, kBaseline, st.explorer.baselineVariant());
         if (options.include_subset)
-            setVariant(slot.cells[kSubset],
-                       st.explorer.subsetVariant(app));
+            setVariant(slot, kSubset, st.explorer.subsetVariant(app));
         if (options.include_specialized) {
             const int k = st.explorer.options().max_merged_subgraphs;
             auto v = st.explorer.trySpecializedVariant(app, k);
             if (v.ok()) {
-                setVariant(slot.cells[kSpecialized],
-                           std::move(v).value());
+                setVariant(slot, kSpecialized, std::move(v).value());
             } else {
-                slot.spec_failed = true;
-                slot.spec_name =
+                rec.spec_failed = true;
+                rec.spec_name =
                     "pe" + std::to_string(k + 1) + "_" + app.name;
-                slot.spec_status = v.status();
+                rec.spec_status = v.status();
             }
         }
     }
-    journalApp(st.journal, static_cast<int>(i), slot);
+    // A partially replayed app rebuilds only to reconstruct its
+    // variants: its record is already on disk.
+    if (st.journal.appRecord(i) == nullptr) {
+        rec.app = static_cast<int>(i);
+        st.journal.appendApp(rec);
+    }
     st.counters.build_us.add(elapsedUs(t0));
 }
 
@@ -559,7 +522,6 @@ quarantinedResult(const runtime::WorkerTaskOutcome &o)
     r.success = false;
     r.pnr_attempts = std::max(1, o.attempts);
     r.status = Status(ErrorCode::kWorkerCrashed, msg.str());
-    r.error = r.status.toString();
     return r;
 }
 
@@ -608,12 +570,13 @@ executeForked(SweepState &st, SweepRuntimeStats *stats)
             throw ApexError(Status(ErrorCode::kInternal,
                                    "malformed worker task '" + task +
                                        "'"));
-        const Cell &cell = st.slots[i].cells[j];
+        const AppSlot &slot = st.slots[i];
         SweepJournal::CellRecord rec;
         rec.app = static_cast<int>(i);
         rec.cell = j;
-        rec.variant = cell.name;
-        rec.result = evaluateCellGuarded(st.apps[i], *cell.variant,
+        rec.variant = slot.rec.cells[j].variant;
+        rec.result = evaluateCellGuarded(st.apps[i],
+                                         *slot.cells[j].variant,
                                          st.tech, child_eval,
                                          st.options);
         return SweepJournal::encodeCellRecordPayload(rec);
@@ -700,8 +663,8 @@ executeRemaining(SweepState &st, SweepOutcome *out)
  * its journaled flags would double-count under --resume). */
 void
 reportBuildWarnings(SweepState &st, const AppSlot &slot,
-                    const Cell &cell, const std::string &scope,
-                    SweepOutcome *out)
+                    const SweepJournal::CellInfo &cell,
+                    const std::string &scope, SweepOutcome *out)
 {
     if (cell.non_optimal_merges > 0) {
         DiagnosticRecord w;
@@ -777,20 +740,23 @@ assemble(SweepState &st, SweepOutcome *out)
                 1);
             continue;
         }
-        if (!slot.validate_status.ok()) {
+        SweepJournal::AppRecord &rec = slot.rec;
+        if (!rec.validate_status.ok()) {
             recordFailure(out->report, app, "",
-                          std::move(slot.validate_status), 1);
+                          std::move(rec.validate_status), 1);
             continue;
         }
-        if (slot.spec_failed)
-            recordFailure(out->report, app, slot.spec_name,
-                          std::move(slot.spec_status), 1);
+        if (rec.spec_failed)
+            recordFailure(out->report, app, rec.spec_name,
+                          std::move(rec.spec_status), 1);
 
-        for (Cell &cell : slot.cells) {
-            if (!cell.present)
+        for (int j = 0; j < kJournalCellsPerApp; ++j) {
+            const SweepJournal::CellInfo &info = rec.cells[j];
+            if (!info.has_variant)
                 continue;
-            const std::string &vname = cell.name;
-            reportBuildWarnings(st, slot, cell, app + "/" + vname, out);
+            Cell &cell = slot.cells[j];
+            const std::string &vname = info.variant;
+            reportBuildWarnings(st, slot, info, app + "/" + vname, out);
             if (!cell.ran) {
                 recordFailure(
                     out->report, app, vname,
@@ -821,12 +787,8 @@ assemble(SweepState &st, SweepOutcome *out)
                 }
                 out->entries.push_back({app, vname, std::move(r)});
             } else {
-                Status s = r.status.ok()
-                               ? Status(ErrorCode::kEvaluationFailed,
-                                        r.error)
-                               : r.status;
-                recordFailure(out->report, app, vname, std::move(s),
-                              r.pnr_attempts);
+                recordFailure(out->report, app, vname,
+                              std::move(r.status), r.pnr_attempts);
             }
         }
     }

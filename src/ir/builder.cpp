@@ -43,13 +43,6 @@ GraphBuilder::constant(std::uint64_t value, std::string name)
 }
 
 Value
-GraphBuilder::constantBit(bool value, std::string name)
-{
-    return {this, graph_.addNode(Op::kConstBit, {}, value ? 1 : 0,
-                                 std::move(name))};
-}
-
-Value
 GraphBuilder::output(Value v, std::string name)
 {
     requireValid(v, "output");

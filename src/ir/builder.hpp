@@ -51,7 +51,6 @@ class GraphBuilder {
     Value input(std::string name = {});
     Value inputBit(std::string name = {});
     Value constant(std::uint64_t value, std::string name = {});
-    Value constantBit(bool value, std::string name = {});
     Value output(Value v, std::string name = {});
     Value outputBit(Value v, std::string name = {});
 

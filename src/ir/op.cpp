@@ -133,12 +133,6 @@ opOperandType(Op op, int port)
     }
 }
 
-bool
-opIsCommutative(Op op)
-{
-    return opInfo(op).commutative;
-}
-
 std::uint64_t
 evalOp(Op op, std::uint64_t a, std::uint64_t b, std::uint64_t c,
        std::uint64_t param, int width)

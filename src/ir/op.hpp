@@ -111,9 +111,6 @@ ValueType opResultType(Op op);
 /** @return the value type expected on operand @p port of @p op. */
 ValueType opOperandType(Op op, int port);
 
-/** @return true if swapping the two operands leaves the result unchanged. */
-bool opIsCommutative(Op op);
-
 /**
  * Evaluate a compute op on concrete operands.
  *

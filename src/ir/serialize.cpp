@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -251,17 +252,6 @@ parseGraph(const std::string &text)
     if (const Status s = validate(g, vopt); !s.ok())
         return fail(line_no, "invalid graph: " + s.message());
     return g;
-}
-
-std::optional<Graph>
-deserialize(const std::string &text, std::string *error)
-{
-    Result<Graph> result = parseGraph(text);
-    if (result.ok())
-        return std::move(result).value();
-    if (error)
-        *error = result.status().message();
-    return std::nullopt;
 }
 
 } // namespace apex::ir

@@ -288,12 +288,6 @@ tryCanonicalCode(const Graph &g, const Deadline &deadline)
     return code;
 }
 
-std::uint64_t
-structuralHash(const Graph &g)
-{
-    return std::hash<std::string>{}(canonicalCode(g));
-}
-
 bool
 isomorphic(const Graph &a, const Graph &b)
 {

@@ -45,9 +45,6 @@ std::string canonicalCode(const Graph &g);
 Result<std::string> tryCanonicalCode(const Graph &g,
                                      const Deadline &deadline);
 
-/** @return a 64-bit hash of canonicalCode(g). */
-std::uint64_t structuralHash(const Graph &g);
-
 /** @return true when @p a and @p b are isomorphic as labeled DAGs. */
 bool isomorphic(const Graph &a, const Graph &b);
 

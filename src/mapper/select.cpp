@@ -167,7 +167,6 @@ InstructionSelector::map(const Graph &app) const
     SelectionResult result;
     if (Status fault = checkFault(FaultStage::kMap); !fault.ok()) {
         result.status = std::move(fault);
-        result.error = result.status.toString();
         return result;
     }
     result.rule_uses.assign(rules_.size(), 0);
@@ -181,7 +180,6 @@ InstructionSelector::map(const Graph &app) const
         std::ostringstream os;
         os << "no rewrite rule covers node " << aid << " ("
            << ir::opName(app.op(aid)) << ")";
-        result.error = os.str();
         result.status = Status(ErrorCode::kMappingFailed, os.str());
     };
 
@@ -359,10 +357,9 @@ InstructionSelector::map(const Graph &app) const
             for (NodeId ph : rule.placeholders) {
                 const int src = producer_of(m.pat2app[ph]);
                 if (src < 0) {
-                    result.error =
-                        "placeholder bound to an unavailable value";
-                    result.status = Status(ErrorCode::kMappingFailed,
-                                           result.error);
+                    result.status = Status(
+                        ErrorCode::kMappingFailed,
+                        "placeholder bound to an unavailable value");
                     return result;
                 }
                 mn.inputs.push_back(src);
@@ -376,9 +373,8 @@ InstructionSelector::map(const Graph &app) const
         }
         for (int src : mn.inputs) {
             if (src < 0) {
-                result.error = "dangling mapped edge";
                 result.status = Status(ErrorCode::kMappingFailed,
-                                       result.error);
+                                       "dangling mapped edge");
                 return result;
             }
         }

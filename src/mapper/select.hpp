@@ -29,7 +29,6 @@ namespace apex::mapper {
 /** Result of mapping one application. */
 struct SelectionResult {
     bool success = false;
-    std::string error;       ///< Set when success is false.
     Status status;           ///< Typed outcome (kMappingFailed).
     MappedGraph mapped;      ///< Valid when success.
     std::vector<int> rule_uses; ///< Per-rule application counts.

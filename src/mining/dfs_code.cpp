@@ -57,7 +57,7 @@ edgeToken(int pos, int dir, int port)
 }
 
 /** Branch-and-bound over connected expansions.  `best` is the
- * incumbent (possibly caller-seeded); every candidate segment is
+ * incumbent; every candidate segment is
  * compared against it token by token while the prefix is still equal,
  * and greater branches die before recursing. */
 struct Search {
@@ -65,8 +65,6 @@ struct Search {
     Code cur;
     Code best;
     bool have_best = false;
-    bool abort_on_smaller = false;
-    bool found_smaller = false;
     std::vector<int> pos; ///< vertex -> discovery index, or -1.
     int placed = 0;
 
@@ -94,8 +92,6 @@ struct Search {
 
     void recurse(bool eq)
     {
-        if (found_smaller)
-            return;
         if (placed == static_cast<int>(g.size())) {
             if (!have_best) {
                 best = cur;
@@ -106,8 +102,6 @@ struct Search {
                 // Diverged frames stopped comparing against a since-
                 // replaced incumbent, so compare the completion.
                 best = cur;
-                if (abort_on_smaller)
-                    found_smaller = true;
             }
             return;
         }
@@ -164,8 +158,6 @@ struct Search {
             --placed;
             pos[c.v] = -1;
             cur.resize(mark);
-            if (found_smaller)
-                return;
         }
     }
 };
@@ -180,19 +172,6 @@ minCode(const CoreView &core)
     Search s(core);
     s.recurse(true);
     return s.best;
-}
-
-bool
-isCanonical(const CoreView &core, const Code &code)
-{
-    if (core.size() == 0)
-        return code.empty();
-    Search s(core);
-    s.best = code;
-    s.have_best = true;
-    s.abort_on_smaller = true;
-    s.recurse(true);
-    return !s.found_smaller && s.best == code;
 }
 
 } // namespace apex::mining::dfs

@@ -266,10 +266,4 @@ findEmbeddings(const Graph &pattern, const Graph &target,
     return std::move(st.results);
 }
 
-bool
-hasEmbedding(const Graph &pattern, const Graph &target)
-{
-    return !findEmbeddings(pattern, target, 1).empty();
-}
-
 } // namespace apex::mining

@@ -58,14 +58,6 @@ blockClassOf(Op op)
     }
 }
 
-bool
-blockImplements(HwBlockClass cls, Op op)
-{
-    if (!ir::opIsCompute(op) && op != Op::kConst && op != Op::kConstBit)
-        return false;
-    return blockClassOf(op) == cls;
-}
-
 std::vector<Op>
 opsOfClass(HwBlockClass cls)
 {

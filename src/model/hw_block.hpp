@@ -43,9 +43,6 @@ inline constexpr int kNumHwBlockClasses =
  * ops other than constants. */
 HwBlockClass blockClassOf(ir::Op op);
 
-/** @return true when a block of class @p cls can execute @p op. */
-bool blockImplements(HwBlockClass cls, ir::Op op);
-
 /** @return all compute ops a block of class @p cls can execute. */
 std::vector<ir::Op> opsOfClass(HwBlockClass cls);
 

@@ -289,12 +289,6 @@ setLane(int lane)
     threadState().lane = lane;
 }
 
-int
-currentLane()
-{
-    return threadState().lane;
-}
-
 ScopedCell::~ScopedCell()
 {
     if (active_)
@@ -361,16 +355,8 @@ SpanArg::SpanArg(std::string_view k, int v)
     : key(k), json_value(std::to_string(v))
 {
 }
-SpanArg::SpanArg(std::string_view k, long v)
-    : key(k), json_value(std::to_string(v))
-{
-}
 SpanArg::SpanArg(std::string_view k, long long v)
     : key(k), json_value(std::to_string(v))
-{
-}
-SpanArg::SpanArg(std::string_view k, double v)
-    : key(k), json_value(jsonNumber(v))
 {
 }
 
@@ -906,23 +892,6 @@ Registry::jsonDump() const
     }
     out += "]}";
     return out;
-}
-
-void
-Registry::resetForTesting()
-{
-    Impl &i = impl();
-    SpinGuard guard(i.lock);
-    for (auto &[name, c] : i.counters)
-        c->value_.store(0, std::memory_order_relaxed);
-    for (auto &[name, g] : i.gauges)
-        g->value_.store(0.0, std::memory_order_relaxed);
-    for (auto &[name, h] : i.histograms) {
-        for (std::size_t b = 0; b <= h->bounds_.size(); ++b)
-            h->buckets_[b].store(0, std::memory_order_relaxed);
-        h->count_.store(0, std::memory_order_relaxed);
-        h->sum_bits_.store(0, std::memory_order_relaxed);
-    }
 }
 
 PeriodicMetricsWriter::PeriodicMetricsWriter(std::string path,

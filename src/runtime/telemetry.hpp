@@ -76,9 +76,6 @@ void setTracingEnabled(bool on);
  * the current lane so traces show pool utilization per lane. */
 void setLane(int lane);
 
-/** Lane of the calling thread (-1 outside pool workers). */
-int currentLane();
-
 /**
  * Scoped (app, variant) attribution: while alive, every span the
  * calling thread opens carries this cell identity, which is what the
@@ -151,9 +148,7 @@ struct SpanArg {
     SpanArg(std::string_view k, const char *v);
     SpanArg(std::string_view k, const std::string &v);
     SpanArg(std::string_view k, int v);
-    SpanArg(std::string_view k, long v);
     SpanArg(std::string_view k, long long v);
-    SpanArg(std::string_view k, double v);
 
     std::string key;
     std::string json_value; ///< Rendered JSON literal.
@@ -364,9 +359,6 @@ class Registry {
 
     /** Stable JSON dump of every registered metric. */
     std::string jsonDump() const;
-
-    /** Zero every value (registrations survive). */
-    void resetForTesting();
 
   private:
     Registry() = default;

@@ -97,11 +97,11 @@ struct Flow {
 
 TEST(PlaceTest, GaussianPlacesLegally) {
     Flow flow(apps::gaussianBlur(1));
-    ASSERT_TRUE(flow.sel.success) << flow.sel.error;
+    ASSERT_TRUE(flow.sel.success) << flow.sel.status.toString();
 
     const Fabric fabric(16, 8);
     const auto placement = place(fabric, flow.sel.mapped);
-    ASSERT_TRUE(placement.success) << placement.error;
+    ASSERT_TRUE(placement.success) << placement.status.toString();
 
     // Legality: every placeable node on a tile of the right kind,
     // no two nodes sharing a tile.
@@ -152,7 +152,7 @@ TEST(PlaceTest, FailsWhenFabricTooSmall) {
     const Fabric tiny(4, 2);
     const auto placement = place(tiny, flow.sel.mapped);
     EXPECT_FALSE(placement.success);
-    EXPECT_NE(placement.error.find("too small"), std::string::npos);
+    EXPECT_NE(placement.status.toString().find("too small"), std::string::npos);
 }
 
 TEST(PlaceTest, ContractionCountsRegisters) {
@@ -180,7 +180,7 @@ TEST(RouteTest, GaussianRoutesCongestionFree) {
     const auto placement = place(fabric, flow.sel.mapped);
     ASSERT_TRUE(placement.success);
     const auto routing = route(fabric, placement);
-    ASSERT_TRUE(routing.success) << routing.error;
+    ASSERT_TRUE(routing.success) << routing.status.toString();
 
     // No link over capacity.
     for (int usage : routing.link_usage)
@@ -206,7 +206,7 @@ TEST(RouteTest, CongestionForcesDetours) {
     const auto placement = place(fabric, flow.sel.mapped);
     ASSERT_TRUE(placement.success);
     const auto routing = route(fabric, placement);
-    ASSERT_TRUE(routing.success) << routing.error;
+    ASSERT_TRUE(routing.success) << routing.status.toString();
     for (int usage : routing.link_usage)
         EXPECT_LE(usage, 5);
 }
@@ -338,7 +338,7 @@ TEST(MetricsTest, UtilizationMatchesMappedCounts) {
     ASSERT_TRUE(flow.sel.success);
     const Fabric fabric(16, 8);
     const auto placement = place(fabric, flow.sel.mapped);
-    ASSERT_TRUE(placement.success) << placement.error;
+    ASSERT_TRUE(placement.success) << placement.status.toString();
     const auto routing = route(fabric, placement);
     ASSERT_TRUE(routing.success);
 
@@ -356,7 +356,7 @@ TEST(MetricsTest, UtilizationMatchesMappedCounts) {
 void
 expectStreamingCorrect(Flow &flow, int cycles = 48)
 {
-    ASSERT_TRUE(flow.sel.success) << flow.sel.error;
+    ASSERT_TRUE(flow.sel.success) << flow.sel.status.toString();
     CycleSimulator sim(flow.sel.mapped, flow.rules, flow.spec);
 
     // Input streams: deterministic pseudo-random pixels.
@@ -404,7 +404,7 @@ expectStreamingCorrect(Flow &flow, int cycles = 48)
 void
 expectWindowedStreamingCorrect(Flow &flow, int cycles = 64)
 {
-    ASSERT_TRUE(flow.sel.success) << flow.sel.error;
+    ASSERT_TRUE(flow.sel.success) << flow.sel.status.toString();
     ASSERT_TRUE(pipeline::delaysBalanced(flow.sel.mapped,
                                          flow.spec.pipeline_stages));
     CycleSimulator sim(flow.sel.mapped, flow.rules, flow.spec);

@@ -129,6 +129,23 @@ TEST(Cli, InvalidArgumentsExitWithValidationCode)
               want);
     // --resume without --cache-dir: there is no journal to replay.
     EXPECT_EQ(run(apexc + " sweep --resume 2> /dev/null"), want);
+    // Numeric flags must be whole numbers: no silent 0, no ignored
+    // unit suffix.
+    for (const std::string args :
+         {"sweep --deadline abc", "sweep --deadline 5s",
+          "sweep --jobs abc", "sweep --cell-deadline 1x",
+          "sweep --cell-retries 2.5", "analyze gaussian --support abc",
+          "analyze gaussian --max-nodes ''"})
+        EXPECT_EQ(run(apexc + " " + args + " > /dev/null 2>&1"), want)
+            << args;
+    EXPECT_EQ(run("APEX_JOBS=x " + apexc +
+                  " sweep --level map > /dev/null 2>&1"),
+              want);
+    // apexd parses the same way, before it binds anything.
+    EXPECT_EQ(run(std::string(APEXD_PATH) +
+                  " --socket /nonexistent/apexd.sock --jobs 2x"
+                  " > /dev/null 2>&1"),
+              want);
 }
 
 TEST(Cli, ExpiredDeadlineExitsWithTimeoutCode)

@@ -315,7 +315,6 @@ TEST(SweepJournal, ReplaysAppAndCellRecords)
         Status(ErrorCode::kRouteFailed, "congestion on track 3")
             .withContext("routing 'x'")
             .withContext("evaluating 'x' on 'pe1_x'");
-    bad_cell.result.error = bad_cell.result.status.toString();
     bad_cell.result.diagnostics.error("route",
                                       bad_cell.result.status, 4);
 
@@ -526,6 +525,49 @@ TEST(Durability, ResumeAfterCleanRunReplaysEverything)
     EXPECT_EQ(outcomeBytes(first), outcomeBytes(second));
 }
 
+TEST(Durability, VersionTwoJournalRestartsFresh)
+{
+    // The same records framed at journal version 2 (the previous cell
+    // layout) must be restarted, never decoded: nothing replays, and
+    // the outcome is byte-identical to an unjournaled sweep.
+    ScratchDir current_dir("v3journal");
+    ScratchDir old_dir("v2journal");
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+    const SweepOutcome reference =
+        runSweep(apps_list, ex, tech, SweepOptions{});
+    SweepOptions options;
+    options.journal_dir = current_dir.str();
+    ASSERT_EQ(runSweep(apps_list, ex, tech, options).report.evaluated,
+              6);
+    {
+        runtime::RecordLog current;
+        ASSERT_TRUE(current
+                        .open(current_dir.str() + "/sweep.journal",
+                              "apexsweep", 3, true)
+                        .ok());
+        ASSERT_EQ(current.records().size(), 9u); // header, 2 apps, 6
+        runtime::RecordLog old;
+        ASSERT_TRUE(old.open(old_dir.str() + "/sweep.journal",
+                             "apexsweep", 2, false)
+                        .ok());
+        for (const runtime::FramedRecord &rec : current.records())
+            ASSERT_TRUE(old.append(rec.type, rec.payload).ok());
+    }
+
+    options.journal_dir = old_dir.str();
+    options.resume = true;
+    const SweepOutcome restarted =
+        runSweep(apps_list, ex, tech, options);
+    EXPECT_EQ(restarted.stats.cells_replayed, 0);
+    EXPECT_EQ(outcomeBytes(restarted), outcomeBytes(reference));
+
+    // The restart rewrote the journal at the current version.
+    const SweepOutcome resumed = runSweep(apps_list, ex, tech, options);
+    EXPECT_EQ(resumed.stats.cells_replayed, 6);
+    EXPECT_EQ(outcomeBytes(resumed), outcomeBytes(reference));
+}
+
 /** fork() calls made by this process so far; a pthread_atfork hook
  * counts them, so a test can prove a sweep forked no worker. */
 std::atomic<int> g_forks{0};
@@ -596,7 +638,7 @@ TEST(Durability, ResumeRunsOnlyTheMissingCellAndItsBuild)
                                  std::ios::out);
         std::string all((std::istreambuf_iterator<char>(f)),
                         std::istreambuf_iterator<char>());
-        const std::size_t at = all.rfind("apexsweep 2 cell sum");
+        const std::size_t at = all.rfind("apexsweep 3 cell sum");
         ASSERT_NE(at, std::string::npos);
         const std::size_t header_end = all.find('\n', at);
         ASSERT_NE(header_end, std::string::npos);
@@ -821,7 +863,7 @@ TEST(Durability, MidJournalCorruptionReEvaluatesOnlyLostCells)
                         std::istreambuf_iterator<char>());
         std::size_t at = 0;
         for (int i = 0; i < 3; ++i) {
-            at = all.find("apexsweep 2 cell sum", at + 1);
+            at = all.find("apexsweep 3 cell sum", at + 1);
             ASSERT_NE(at, std::string::npos) << "cell frame " << i;
         }
         const std::size_t header_end = all.find('\n', at);

@@ -8,10 +8,15 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.hpp"
+#include "cgra/place.hpp"
+#include "cgra/route.hpp"
 #include "core/evaluate.hpp"
 #include "core/fault.hpp"
+#include "core/hetero.hpp"
 #include "core/sweep.hpp"
 #include "ir/serialize.hpp"
+#include "mapper/rewrite.hpp"
+#include "mapper/select.hpp"
 
 namespace apex::core {
 namespace {
@@ -137,7 +142,7 @@ TEST_F(FaultTest, PlacementRetriesWithNewSeedAfterFailure) {
     FaultScope scope(FaultStage::kPlace, 1);
     const EvalResult r = evaluate(app, ex.baselineVariant(),
                                   EvalLevel::kPostPnr, tech, options);
-    ASSERT_TRUE(r.success) << r.error;
+    ASSERT_TRUE(r.success) << r.status.toString();
     EXPECT_EQ(r.pnr_attempts, 2);
 
     const auto trail = r.diagnostics.forStage("place");
@@ -158,7 +163,7 @@ TEST_F(FaultTest, RoutingRetriesWithMoreTracksAfterFailure) {
     FaultScope scope(FaultStage::kRoute, 1);
     const EvalResult r = evaluate(app, ex.baselineVariant(),
                                   EvalLevel::kPostPnr, tech, options);
-    ASSERT_TRUE(r.success) << r.error;
+    ASSERT_TRUE(r.success) << r.status.toString();
     EXPECT_EQ(r.pnr_attempts, 1); // placement never failed
 
     const auto trail = r.diagnostics.forStage("route");
@@ -186,7 +191,77 @@ TEST_F(FaultTest, ExhaustedRetriesReportTheFullTrail) {
     EXPECT_EQ(r.status.code(), ErrorCode::kPlaceFailed);
     EXPECT_EQ(r.pnr_attempts, 2);
     EXPECT_EQ(r.diagnostics.count(Severity::kError), 2);
-    EXPECT_FALSE(r.error.empty());
+    EXPECT_FALSE(r.status.message().empty());
+}
+
+TEST_F(FaultTest, EveryFailedStageResultCarriesItsStatus) {
+    // Status is the only failure record: a failed result of every
+    // stage, called alone or through evaluate(), must carry a non-ok
+    // status with that stage's code.
+    Explorer ex;
+    const auto app = apps::gaussianBlur(1);
+    const PeVariant base = ex.baselineVariant();
+    mapper::RewriteRuleSynthesizer synth(base.spec);
+    const mapper::InstructionSelector selector(
+        synth.synthesizeLibrary(base.patterns));
+    const mapper::SelectionResult sel = selector.map(app.graph);
+    ASSERT_TRUE(sel.success) << sel.status.toString();
+    EXPECT_TRUE(sel.status.ok());
+    const cgra::Fabric fabric(32, 16);
+    const cgra::PlacementResult placement =
+        cgra::place(fabric, sel.mapped);
+    ASSERT_TRUE(placement.success) << placement.status.toString();
+
+    {
+        FaultScope scope(FaultStage::kMap, 1);
+        const mapper::SelectionResult r = selector.map(app.graph);
+        EXPECT_FALSE(r.success);
+        EXPECT_EQ(r.status.code(), ErrorCode::kMappingFailed);
+    }
+    {
+        FaultScope scope(FaultStage::kPlace, 1);
+        const cgra::PlacementResult r = cgra::place(fabric, sel.mapped);
+        EXPECT_FALSE(r.success);
+        EXPECT_EQ(r.status.code(), ErrorCode::kPlaceFailed);
+    }
+    {
+        FaultScope scope(FaultStage::kRoute, 1);
+        const cgra::RouteResult r = cgra::route(fabric, placement);
+        EXPECT_FALSE(r.success);
+        EXPECT_EQ(r.status.code(), ErrorCode::kRouteFailed);
+    }
+
+    const struct {
+        FaultStage stage;
+        ErrorCode code;
+    } cases[] = {
+        {FaultStage::kValidate, ErrorCode::kInvalidIr},
+        {FaultStage::kEvaluate, ErrorCode::kEvaluationFailed},
+        {FaultStage::kMap, ErrorCode::kMappingFailed},
+        {FaultStage::kPlace, ErrorCode::kPlaceFailed},
+        {FaultStage::kRoute, ErrorCode::kRouteFailed},
+    };
+    const HeteroCgra hetero = makeBigLittleCgra(base, "biglittle");
+    for (const auto &c : cases) {
+        SCOPED_TRACE(std::string(faultStageName(c.stage)));
+        {
+            FaultScope scope(c.stage, 1, 1000);
+            const EvalResult r = evaluate(
+                app, base, EvalLevel::kPostPnr, tech, strictEval());
+            EXPECT_FALSE(r.success);
+            EXPECT_EQ(r.status.code(), c.code);
+            EXPECT_FALSE(r.status.message().empty());
+        }
+        // The heterogeneous evaluator has no validate/evaluate hook.
+        if (c.stage == FaultStage::kValidate ||
+            c.stage == FaultStage::kEvaluate)
+            continue;
+        FaultScope scope(c.stage, 1, 1000);
+        const HeteroEvalResult r = evaluateHetero(
+            app, hetero, EvalLevel::kPostPnr, tech, strictEval());
+        EXPECT_FALSE(r.success);
+        EXPECT_EQ(r.status.code(), c.code);
+    }
 }
 
 TEST_F(FaultTest, EvaluateRejectsCorruptApplicationGraph) {

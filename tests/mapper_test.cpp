@@ -273,7 +273,7 @@ expectMappingCorrect(const Graph &app, const pe::PeSpec &spec,
     InstructionSelector selector(
         synth.synthesizeLibrary(complex_patterns));
     const SelectionResult sel = selector.map(app);
-    ASSERT_TRUE(sel.success) << sel.error;
+    ASSERT_TRUE(sel.success) << sel.status.toString();
     EXPECT_GE(sel.peCount(), min_pe_count);
 
     std::mt19937 rng(99);
@@ -316,7 +316,7 @@ TEST(SelectTest, ComplexRuleReducesPeCount) {
     RewriteRuleSynthesizer base_synth(base);
     InstructionSelector base_sel(base_synth.synthesizeLibrary({}));
     const auto base_result = base_sel.map(app.graph);
-    ASSERT_TRUE(base_result.success) << base_result.error;
+    ASSERT_TRUE(base_result.success) << base_result.status.toString();
 
     // Specialized: merge the MAC pattern into a restricted baseline.
     const pe::PeSpec seed = pe::baselineSubsetPe(
@@ -329,7 +329,7 @@ TEST(SelectTest, ComplexRuleReducesPeCount) {
     InstructionSelector selector(
         synth.synthesizeLibrary({macPattern()}));
     const auto result = selector.map(app.graph);
-    ASSERT_TRUE(result.success) << result.error;
+    ASSERT_TRUE(result.success) << result.status.toString();
     EXPECT_LT(result.peCount(), base_result.peCount())
         << "MAC-specialized PE must reduce the PE count";
 }
@@ -343,7 +343,7 @@ TEST(SelectTest, FailsOnUnsupportedOp) {
     b.output(b.mul(b.input(), b.input()));
     const auto result = selector.map(b.take());
     EXPECT_FALSE(result.success);
-    EXPECT_NE(result.error.find("mul"), std::string::npos);
+    EXPECT_NE(result.status.toString().find("mul"), std::string::npos);
 }
 
 TEST(SelectTest, InternalFanoutBlocksComplexRule) {
@@ -367,7 +367,7 @@ TEST(SelectTest, InternalFanoutBlocksComplexRule) {
     InstructionSelector selector(
         synth.synthesizeLibrary({macPattern()}));
     const auto result = selector.map(app);
-    ASSERT_TRUE(result.success) << result.error;
+    ASSERT_TRUE(result.success) << result.status.toString();
     // mul, add and sub each need their own PE: 3 PEs.
     EXPECT_EQ(result.peCount(), 3);
 
@@ -463,8 +463,8 @@ TEST(MinCostTest, DpBeatsGreedyOnAdversarialChain) {
     InstructionSelector dp(rules, SelectionPolicy::kMinCost);
     const auto rg = greedy.map(app);
     const auto rd = dp.map(app);
-    ASSERT_TRUE(rg.success) << rg.error;
-    ASSERT_TRUE(rd.success) << rd.error;
+    ASSERT_TRUE(rg.success) << rg.status.toString();
+    ASSERT_TRUE(rd.success) << rd.status.toString();
     EXPECT_EQ(rg.peCount(), 2) << "greedy: pair + stranded mul";
     EXPECT_EQ(rd.peCount(), 1) << "DP finds the whole-chain rule";
 
@@ -488,8 +488,8 @@ TEST(MinCostTest, NeverWorseThanGreedyOnApps) {
         InstructionSelector dp(rules, SelectionPolicy::kMinCost);
         const auto rg = greedy.map(app.graph);
         const auto rd = dp.map(app.graph);
-        ASSERT_TRUE(rg.success) << app.name << ": " << rg.error;
-        ASSERT_TRUE(rd.success) << app.name << ": " << rd.error;
+        ASSERT_TRUE(rg.success) << app.name << ": " << rg.status.toString();
+        ASSERT_TRUE(rd.success) << app.name << ": " << rd.status.toString();
         EXPECT_LE(rd.peCount(), rg.peCount()) << app.name;
 
         // Functional equivalence of the DP mapping.
@@ -514,7 +514,7 @@ TEST(MinCostTest, FailsGracefullyOnUnsupportedOp) {
     b.output(b.mul(b.input(), b.input()));
     const auto r = dp.map(b.take());
     EXPECT_FALSE(r.success);
-    EXPECT_NE(r.error.find("mul"), std::string::npos);
+    EXPECT_NE(r.status.toString().find("mul"), std::string::npos);
 }
 
 TEST(ReportTest, StatsMatchMapping) {

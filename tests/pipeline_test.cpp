@@ -195,7 +195,7 @@ TEST(AppPipelineTest, FullFlowOnRealApplication) {
     mapper::RewriteRuleSynthesizer synth(spec);
     mapper::InstructionSelector selector(synth.synthesizeLibrary({}));
     auto sel = selector.map(app.graph);
-    ASSERT_TRUE(sel.success) << sel.error;
+    ASSERT_TRUE(sel.success) << sel.status.toString();
 
     const auto pe_result = pipelinePe(spec, tech);
     const auto result = pipelineApplication(

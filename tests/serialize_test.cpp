@@ -9,6 +9,19 @@
 namespace apex::ir {
 namespace {
 
+/** Message parseGraph() rejects @p text with; fails the test unless
+ * it is a line-tagged kParseError. */
+std::string
+rejection(const std::string &text)
+{
+    const Result<Graph> r = parseGraph(text);
+    EXPECT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), ErrorCode::kParseError) << text;
+    const std::string &message = r.status().message();
+    EXPECT_EQ(message.rfind("line ", 0), 0u) << message;
+    return message;
+}
+
 TEST(SerializeTest, RoundTripSimpleGraph) {
     GraphBuilder b;
     Value x = b.input("x");
@@ -21,9 +34,8 @@ TEST(SerializeTest, RoundTripSimpleGraph) {
     EXPECT_NE(text.find("mul"), std::string::npos);
     EXPECT_NE(text.find("\"x\""), std::string::npos);
 
-    std::string error;
-    const auto parsed = deserialize(text, &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
+    const auto parsed = parseGraph(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_TRUE(isomorphic(g, *parsed));
     EXPECT_EQ(parsed->node(1).param, 7u);
     EXPECT_EQ(parsed->node(0).name, "x");
@@ -32,9 +44,8 @@ TEST(SerializeTest, RoundTripSimpleGraph) {
 TEST(SerializeTest, RoundTripPreservesSemantics) {
     const auto app = apps::gaussianBlur(1);
     const std::string text = serialize(app.graph);
-    std::string error;
-    const auto parsed = deserialize(text, &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
+    const auto parsed = parseGraph(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     ASSERT_EQ(parsed->size(), app.graph.size());
 
     const Interpreter interp;
@@ -44,10 +55,9 @@ TEST(SerializeTest, RoundTripPreservesSemantics) {
 
 TEST(SerializeTest, RoundTripEveryApp) {
     for (const auto &app : apps::allApps()) {
-        std::string error;
-        const auto parsed = deserialize(serialize(app.graph),
-                                        &error);
-        ASSERT_TRUE(parsed.has_value()) << app.name << ": " << error;
+        const auto parsed = parseGraph(serialize(app.graph));
+        ASSERT_TRUE(parsed.ok())
+            << app.name << ": " << parsed.status().toString();
         EXPECT_EQ(parsed->size(), app.graph.size()) << app.name;
         EXPECT_TRUE(parsed->validate()) << app.name;
     }
@@ -56,8 +66,8 @@ TEST(SerializeTest, RoundTripEveryApp) {
 TEST(SerializeTest, EscapesQuotesInNames) {
     Graph g;
     g.addNode(Op::kInput, {}, 0, "a\"b\\c");
-    const auto parsed = deserialize(serialize(g));
-    ASSERT_TRUE(parsed.has_value());
+    const auto parsed = parseGraph(serialize(g));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed->node(0).name, "a\"b\\c");
 }
 
@@ -68,47 +78,38 @@ TEST(SerializeTest, CommentsAndBlankLinesIgnored) {
         "n0 = input\n"
         "\n"
         "n1 = output n0\n";
-    const auto parsed = deserialize(text);
-    ASSERT_TRUE(parsed.has_value());
+    const auto parsed = parseGraph(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
     EXPECT_EQ(parsed->size(), 2u);
 }
 
 TEST(SerializeTest, RejectsMissingHeader) {
-    std::string error;
-    EXPECT_FALSE(deserialize("n0 = input\n", &error).has_value());
-    EXPECT_NE(error.find("header"), std::string::npos);
+    EXPECT_NE(rejection("n0 = input\n").find("header"),
+              std::string::npos);
 }
 
 TEST(SerializeTest, RejectsForwardReference) {
-    std::string error;
-    EXPECT_FALSE(deserialize("apexir 1\nn0 = reg n1\nn1 = input\n",
-                             &error)
-                     .has_value());
-    EXPECT_NE(error.find("forward"), std::string::npos);
+    EXPECT_NE(rejection("apexir 1\nn0 = reg n1\nn1 = input\n")
+                  .find("forward"),
+              std::string::npos);
 }
 
 TEST(SerializeTest, RejectsUnknownOp) {
-    std::string error;
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn0 = frobnicate\n", &error)
-            .has_value());
-    EXPECT_NE(error.find("unknown op"), std::string::npos);
+    EXPECT_NE(rejection("apexir 1\nn0 = frobnicate\n")
+                  .find("unknown op"),
+              std::string::npos);
 }
 
 TEST(SerializeTest, RejectsNonDenseIds) {
-    std::string error;
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn5 = input\n", &error).has_value());
-    EXPECT_NE(error.find("dense"), std::string::npos);
+    EXPECT_NE(rejection("apexir 1\nn5 = input\n").find("dense"),
+              std::string::npos);
 }
 
 TEST(SerializeTest, RejectsInvalidGraph) {
     // add with a single operand fails validation after parsing.
-    std::string error;
-    EXPECT_FALSE(deserialize("apexir 1\nn0 = input\nn1 = add n0\n",
-                             &error)
-                     .has_value());
-    EXPECT_NE(error.find("invalid graph"), std::string::npos);
+    EXPECT_NE(rejection("apexir 1\nn0 = input\nn1 = add n0\n")
+                  .find("invalid graph"),
+              std::string::npos);
 }
 
 // --- Hostile input: parseGraph must reject, never crash ---------------
@@ -122,45 +123,28 @@ TEST(SerializeTest, ParseGraphReturnsTypedLineTaggedErrors) {
 }
 
 TEST(SerializeTest, RejectsDuplicateNodeIds) {
-    std::string error;
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn0 = input\nn0 = input\n", &error)
-            .has_value());
-    EXPECT_FALSE(error.empty());
+    rejection("apexir 1\nn0 = input\nn0 = input\n");
 }
 
 TEST(SerializeTest, RejectsOutOfRangeNodeIds) {
     // An id too large for NodeId must not wrap around.
-    std::string error;
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn99999999999999999999 = input\n",
-                    &error)
-            .has_value());
-    EXPECT_FALSE(error.empty());
+    rejection("apexir 1\nn99999999999999999999 = input\n");
 }
 
 TEST(SerializeTest, RejectsUnterminatedQuotedName) {
-    std::string error;
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn0 = input \"oops\n", &error)
-            .has_value());
-    EXPECT_NE(error.find("unterminated"), std::string::npos);
+    EXPECT_NE(rejection("apexir 1\nn0 = input \"oops\n")
+                  .find("unterminated"),
+              std::string::npos);
 
     // A trailing backslash must not read past the end either.
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn0 = input \"oops\\", &error)
-            .has_value());
-    EXPECT_NE(error.find("unterminated"), std::string::npos);
+    EXPECT_NE(rejection("apexir 1\nn0 = input \"oops\\")
+                  .find("unterminated"),
+              std::string::npos);
 }
 
 TEST(SerializeTest, RejectsOverflowingConstParam) {
     // 2^64 overflows uint64; must be a parse error, not silent wrap.
-    std::string error;
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn0 = const 18446744073709551616\n",
-                    &error)
-            .has_value());
-    EXPECT_FALSE(error.empty());
+    rejection("apexir 1\nn0 = const 18446744073709551616\n");
 
     // The largest representable value still parses.
     const auto ok =
@@ -170,23 +154,14 @@ TEST(SerializeTest, RejectsOverflowingConstParam) {
 }
 
 TEST(SerializeTest, RejectsNegativeAndMalformedOperands) {
-    std::string error;
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn0 = input\nn1 = reg n-1\n", &error)
-            .has_value());
-    EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn0 = input\nn1 = reg nxyz\n", &error)
-            .has_value());
-    EXPECT_FALSE(error.empty());
+    rejection("apexir 1\nn0 = input\nn1 = reg n-1\n");
+    rejection("apexir 1\nn0 = input\nn1 = reg nxyz\n");
 }
 
 TEST(SerializeTest, RejectsTrailingTokensAfterName) {
-    std::string error;
-    EXPECT_FALSE(
-        deserialize("apexir 1\nn0 = input \"x\" garbage\n", &error)
-            .has_value());
-    EXPECT_NE(error.find("trailing"), std::string::npos);
+    EXPECT_NE(rejection("apexir 1\nn0 = input \"x\" garbage\n")
+                  .find("trailing"),
+              std::string::npos);
 }
 
 } // namespace
