@@ -25,9 +25,9 @@ main()
     bench::header("Fig. 12: degree of domain merging (PE IP/IP2/IP3)");
 
     const core::PeVariant pe_ip =
-        ex.domainVariant(ip_apps, 1, "pe_ip");
+        ex.domainVariant(ip_apps, 1, "pe_ip").value();
     const core::PeVariant pe_ip2 =
-        ex.domainVariant(ip_apps, 2, "pe_ip2");
+        ex.domainVariant(ip_apps, 2, "pe_ip2").value();
 
     // Unbalanced variant: camera's top-3 plus one from each other.
     core::PeVariant pe_ip3;
@@ -35,10 +35,10 @@ main()
         std::vector<apps::AppInfo> weighted;
         weighted.push_back(apps::cameraPipeline());
         core::PeVariant camera_heavy = ex.domainVariant(
-            ip_apps, 1, "pe_ip3");
+            ip_apps, 1, "pe_ip3").value();
         // Rebuild with camera's extra patterns folded in.
         const auto extra = ex.specializedVariant(
-            apps::cameraPipeline(), 3);
+            apps::cameraPipeline(), 3).value();
         std::vector<ir::Graph> patterns = camera_heavy.patterns;
         for (const auto &p : extra.patterns)
             patterns.push_back(p);

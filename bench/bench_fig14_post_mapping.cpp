@@ -17,9 +17,9 @@ main()
     bench::header("Fig. 14: post-mapping comparison");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml");
+        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
 
     std::printf("  %-10s %-8s %6s %14s %14s %10s %10s\n", "app",
                 "variant", "#PE", "area(um2)", "energy(pJ/it)",
@@ -30,7 +30,7 @@ main()
             app.domain == apps::Domain::kImageProcessing;
         const core::PeVariant &domain = is_ip ? pe_ip : pe_ml;
         const core::PeVariant spec =
-            core::bestSpecializedVariant(app, ex, tech);
+            core::bestSpecializedVariant(app, ex, tech).value();
 
         const auto rb = bench::evalOrWarn(
             app, base, core::EvalLevel::kPostMapping, tech);

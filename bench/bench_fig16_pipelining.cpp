@@ -18,9 +18,9 @@ main()
     bench::header("Fig. 16: pre- vs post-pipelining");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml");
+        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
 
     std::printf("  %-10s %-8s %7s %12s %12s %12s %14s %8s\n", "app",
                 "variant", "stage", "period(ns)", "cgraA(um2)",
@@ -31,7 +31,7 @@ main()
             app.domain == apps::Domain::kImageProcessing;
         const core::PeVariant &domain = is_ip ? pe_ip : pe_ml;
         const core::PeVariant spec =
-            core::bestSpecializedVariant(app, ex, tech);
+            core::bestSpecializedVariant(app, ex, tech).value();
 
         struct Entry {
             const core::PeVariant *v;

@@ -87,10 +87,11 @@
  * the report is byte-identical to --isolate thread at any --jobs.
  *
  * Exit codes: 0 on success, otherwise the stage-specific code from
- * exitCodeFor() (2 usage, 3 parse, 4 invalid IR, 7 mapping, 8
- * placement, 9 routing, 10 capacity, 12 timeout, 14 cancelled,
- * 15 worker crashed, 16 service unavailable, 17 resource
- * exhausted — disk full while journaling, see DESIGN.md Sec. 7h).
+ * exitCodeFor() (2 usage, 3 parse, 4 invalid IR, 5 mining, 6
+ * merge, 7 mapping, 8 placement, 9 routing, 10 capacity, 12
+ * timeout, 14 cancelled, 15 worker crashed, 16 service
+ * unavailable, 17 resource exhausted — disk full while
+ * journaling, see DESIGN.md Sec. 7h).
  * Pass --diagnostics to explore/sweep to dump the structured
  * per-stage diagnostic trail.
  *
@@ -184,9 +185,9 @@ loadApp(const std::string &source)
     return app;
 }
 
-/** Report a load failure and return its process exit code. */
+/** Report a failed stage on stderr and return its exit code. */
 int
-loadFailure(const Status &status)
+reportFailure(const Status &status)
 {
     std::fprintf(stderr, "apexc: %s\n", status.toString().c_str());
     return exitCodeFor(status.code());
@@ -242,7 +243,7 @@ makeCache(int argc, char **argv)
     return std::make_unique<runtime::ArtifactCache>(copt);
 }
 
-core::PeVariant
+Result<core::PeVariant>
 buildVariant(const std::string &kind, const apps::AppInfo &app,
              const core::Explorer &ex,
              runtime::ThreadPool *pool = nullptr,
@@ -281,7 +282,7 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
 {
     auto app = loadApp(source);
     if (!app)
-        return loadFailure(app.status());
+        return reportFailure(app.status());
     core::ExplorerOptions options;
     options.miner.min_support = cli::numberFlag(
         argc, argv, "--support", options.miner.min_support);
@@ -291,7 +292,10 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
     options.pool = pool.get();
     core::Explorer ex(model::defaultTech(), options);
 
-    const auto patterns = ex.analyze(app->graph);
+    const auto analyzed = ex.analyze(app->graph);
+    if (!analyzed.ok())
+        return reportFailure(analyzed.status());
+    const auto &patterns = analyzed.value();
     std::printf("%zu mergeable frequent subgraphs in %s "
                 "(support >= %d, <= %d nodes):\n",
                 patterns.size(), app->name.c_str(),
@@ -321,14 +325,14 @@ cmdExplore(int argc, char **argv, const std::string &source)
 {
     auto app = loadApp(source);
     if (!app)
-        return loadFailure(app.status());
+        return reportFailure(app.status());
     const char *variant_flag = flagValue(argc, argv, "--variant");
     const char *level_flag = flagValue(argc, argv, "--level");
     const std::string kind = variant_flag ? variant_flag : "base";
     const std::string level_name = level_flag ? level_flag : "pipe";
     const auto parsed_level = core::parseLevelName(level_name);
     if (!parsed_level)
-        return loadFailure(parsed_level.status());
+        return reportFailure(parsed_level.status());
     const core::EvalLevel level = *parsed_level;
 
     const auto pool = makePool(requestedJobs(argc, argv));
@@ -347,20 +351,19 @@ cmdExplore(int argc, char **argv, const std::string &source)
         const auto domain =
             is_ip ? ex.domainVariant(apps::ipApps(), 1, "pe_ip")
                   : ex.domainVariant(apps::mlApps(), 1, "pe_ml");
+        if (!domain.ok())
+            return reportFailure(domain.status());
         const auto r = core::evaluateHetero(
-            *app, core::makeBigLittleCgra(domain, "biglittle"),
+            *app, core::makeBigLittleCgra(*domain, "biglittle"),
             level == core::EvalLevel::kPostMapping
                 ? core::EvalLevel::kPostMapping
                 : core::EvalLevel::kPostPnr,
             model::defaultTech());
-        if (!r.success) {
-            std::fprintf(stderr, "apexc: %s\n",
-                         r.status.toString().c_str());
-            return exitCodeFor(r.status.code());
-        }
+        if (!r.success)
+            return reportFailure(r.status);
         std::printf("app            %s\n", app->name.c_str());
         std::printf("variant        biglittle (%s + little)\n",
-                    domain.name.c_str());
+                    domain->name.c_str());
         std::printf("pe_count       %d (big %d + little %d)\n",
                     r.pe_count, r.pe_count_by_type[0],
                     r.pe_count_by_type[1]);
@@ -375,8 +378,11 @@ cmdExplore(int argc, char **argv, const std::string &source)
         return 0;
     }
 
-    const auto variant =
+    const auto built =
         buildVariant(kind, *app, ex, pool.get(), eval_options);
+    if (!built.ok())
+        return reportFailure(built.status());
+    const core::PeVariant &variant = built.value();
     const auto r = core::evaluate(*app, variant, level,
                                   model::defaultTech(),
                                   eval_options);
@@ -389,11 +395,8 @@ cmdExplore(int argc, char **argv, const std::string &source)
                          cs.hits, cs.misses);
         }
     }
-    if (!r.success) {
-        std::fprintf(stderr, "apexc: %s\n",
-                     r.status.toString().c_str());
-        return exitCodeFor(r.status.code());
-    }
+    if (!r.success)
+        return reportFailure(r.status);
     std::printf("app            %s\n", app->name.c_str());
     std::printf("variant        %s\n", variant.name.c_str());
     std::printf("level          %s\n", level_name.c_str());
@@ -425,14 +428,17 @@ cmdRtl(int argc, char **argv, const std::string &source)
 {
     auto app = loadApp(source);
     if (!app)
-        return loadFailure(app.status());
+        return reportFailure(app.status());
     const char *variant_flag = flagValue(argc, argv, "--variant");
     const char *out_flag = flagValue(argc, argv, "-o");
     const std::string out = out_flag ? out_flag : ".";
 
     core::Explorer ex;
-    core::PeVariant variant = buildVariant(
-        variant_flag ? variant_flag : "spec", *app, ex);
+    auto built = buildVariant(variant_flag ? variant_flag : "spec",
+                              *app, ex);
+    if (!built.ok())
+        return reportFailure(built.status());
+    core::PeVariant &variant = built.value();
     pipeline::pipelinePe(variant.spec, model::defaultTech());
 
     const std::string v_path = out + "/" + variant.name + ".v";
@@ -451,7 +457,7 @@ cmdDump(int argc, char **argv, const std::string &source)
 {
     auto app = loadApp(source);
     if (!app)
-        return loadFailure(app.status());
+        return reportFailure(app.status());
     const char *out_flag = flagValue(argc, argv, "-o");
     const std::string text = ir::serialize(app->graph);
     if (out_flag) {
@@ -549,7 +555,7 @@ cmdSweep(int argc, char **argv)
     core::ExplorerOptions ex_options;
     auto options = service::sweepOptionsFor(request, &ex_options);
     if (!options)
-        return loadFailure(options.status());
+        return reportFailure(options.status());
 
     // One pool serves both the sweep's task graph and the miner's
     // candidate expansion, so nested parallelism shares the lanes.
@@ -565,7 +571,7 @@ cmdSweep(int argc, char **argv)
         options->journal_dir = cache_dir;
     options->resume = hasFlag(argc, argv, "--resume");
     if (options->resume && cache_dir == nullptr)
-        return loadFailure(
+        return reportFailure(
             Status(ErrorCode::kInvalidArgument,
                    "--resume requires --cache-dir (the journal "
                    "lives in the cache directory)"));
@@ -611,20 +617,9 @@ cmdSweep(int argc, char **argv)
     // full mid-run) makes the printed report valid but the on-disk
     // checkpoint a lie; fail loudly so nobody --resumes against it.
     // An interrupted sweep still exits with the cancellation code.
-    if (!durability.ok() && !reply.cancelled) {
-        std::fprintf(stderr, "apexc: %s\n",
-                     durability.toString().c_str());
-        return exitCodeFor(durability.code());
-    }
+    if (!durability.ok() && !reply.cancelled)
+        return reportFailure(durability);
     return service::sweepExitCode(reply);
-}
-
-/** Report a service-side failure and map it to an exit code. */
-int
-serviceFailure(const Status &status)
-{
-    std::fprintf(stderr, "apexc: %s\n", status.toString().c_str());
-    return exitCodeFor(status.code());
 }
 
 /** Set once `client sweep` has written its *merged* trace file, so
@@ -697,7 +692,7 @@ cmdClientTop(int argc, char **argv, service::Client &client)
     for (;;) {
         service::StatuszReply reply;
         if (Status s = client.statusz(max_samples, &reply); !s.ok())
-            return serviceFailure(s);
+            return reportFailure(s);
         if (json) {
             std::fputs(service::statuszJson(reply).c_str(), stdout);
         } else {
@@ -771,13 +766,13 @@ cmdClient(int argc, char **argv)
     service::Client client;
     if (!resilient) {
         if (Status s = connectDaemon(argc, argv, &client); !s.ok())
-            return serviceFailure(s);
+            return reportFailure(s);
     }
 
     if (what == "info") {
         service::InfoReply info;
         if (Status s = client.info(&info); !s.ok())
-            return serviceFailure(s);
+            return reportFailure(s);
         std::printf("server    %s\n", info.version.c_str());
         std::printf("commit    %s\n", info.commit.c_str());
         std::printf("flags     %s\n", info.flags.c_str());
@@ -788,7 +783,7 @@ cmdClient(int argc, char **argv)
     if (what == "metrics") {
         std::string json;
         if (Status s = client.metrics(&json); !s.ok())
-            return serviceFailure(s);
+            return reportFailure(s);
         std::fputs(json.c_str(), stdout);
         client.goodbye();
         return 0;
@@ -806,7 +801,7 @@ cmdClient(int argc, char **argv)
     service::SweepRequest request = sweepRequestFromFlags(argc, argv);
     if (const Status s = service::sweepOptionsFor(request).status();
         !s.ok())
-        return loadFailure(s);
+        return reportFailure(s);
     request.id = 1;
     // Every client request gets a trace id, whether or not --trace
     // was given: the daemon stamps it on the request's spans either
@@ -839,7 +834,7 @@ cmdClient(int argc, char **argv)
         const char *path = flagValue(argc, argv, "--socket");
         const char *port = flagValue(argc, argv, "--port");
         if (path == nullptr && port == nullptr)
-            return serviceFailure(Status(
+            return reportFailure(Status(
                 ErrorCode::kInvalidArgument,
                 "client requires --socket PATH or --port N"));
         service::RetryStats stats;
@@ -854,7 +849,7 @@ cmdClient(int argc, char **argv)
                 policy, &reply, on_progress, &stats);
         }
         if (!s.ok())
-            return serviceFailure(s);
+            return reportFailure(s);
         if (stats.attempts > 1)
             std::fprintf(stderr,
                          "apexc: sweep landed after %d attempts "
@@ -888,7 +883,7 @@ cmdClient(int argc, char **argv)
         s = client.runSweep(request, &reply, on_progress, &ack);
     }
     if (!s.ok())
-        return serviceFailure(s);
+        return reportFailure(s);
     if (ack.coalesced)
         std::fprintf(stderr,
                      "apexc: coalesced with an identical in-flight "
@@ -1015,9 +1010,7 @@ main(int argc, char **argv)
             return exitCodeFor(ErrorCode::kInvalidArgument);
         return rc;
     } catch (const ApexError &e) {
-        std::fprintf(stderr, "apexc: %s\n",
-                     e.status().toString().c_str());
-        return exitCodeFor(e.code());
+        return reportFailure(e.status());
     } catch (const std::exception &e) {
         std::fprintf(stderr, "apexc: unexpected error: %s\n",
                      e.what());

@@ -25,7 +25,7 @@ main()
     std::printf("Analyzing %s (%zu compute ops, %d px/cycle)...\n",
                 app.name.c_str(), app.graph.computeNodes().size(),
                 app.items_per_cycle);
-    const auto patterns = ex.analyze(app.graph);
+    const auto patterns = ex.analyze(app.graph).value();
     std::printf("  %zu mergeable frequent subgraphs", patterns.size());
     if (!patterns.empty()) {
         std::printf("; best: %d nodes with MIS %d",
@@ -37,8 +37,9 @@ main()
     variants.push_back(ex.baselineVariant());
     variants.push_back(ex.subsetVariant(app));
     for (int k = 1; k <= ex.options().max_merged_subgraphs; ++k)
-        variants.push_back(ex.specializedVariant(app, k));
-    variants.push_back(core::bestSpecializedVariant(app, ex, tech));
+        variants.push_back(ex.specializedVariant(app, k).value());
+    variants.push_back(
+        core::bestSpecializedVariant(app, ex, tech).value());
 
     std::printf("%-18s %6s %10s %12s %12s %12s %10s\n", "variant",
                 "#PE", "PEum2/PE", "PE area", "CGRA area",

@@ -664,7 +664,7 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     return r;
 }
 
-PeVariant
+Result<PeVariant>
 bestSpecializedVariant(const apps::AppInfo &app,
                        const Explorer &explorer,
                        const model::TechModel &tech,
@@ -685,10 +685,12 @@ bestSpecializedVariant(const apps::AppInfo &app,
         // k concurrently (k = 0 is the subset PE), then replay the
         // sequential stopping rule over the score sequence.  Each
         // score depends only on its own candidate, so the selected
-        // variant is identical to the sequential walk; work past the
-        // stopping point is wasted but off the critical path.
-        std::vector<PeVariant> candidates(
-            static_cast<std::size_t>(max_k) + 1);
+        // variant — or the build failure the walk reaches first — is
+        // identical to the sequential walk; work past the stopping
+        // point is wasted but off the critical path.
+        std::vector<Result<PeVariant>> candidates(
+            static_cast<std::size_t>(max_k) + 1,
+            Status(ErrorCode::kInternal, "candidate not built"));
         std::vector<double> scores(candidates.size(), 1e300);
         runtime::parallelFor(
             pool, static_cast<int>(candidates.size()), [&](int k) {
@@ -696,26 +698,30 @@ bestSpecializedVariant(const apps::AppInfo &app,
                                     ? explorer.subsetVariant(app)
                                     : explorer.specializedVariant(
                                           app, k);
-                scores[k] = score(candidates[k]);
+                if (candidates[k].ok())
+                    scores[k] = score(*candidates[k]);
             });
         std::size_t best_k = 0;
         for (std::size_t k = 1; k < candidates.size(); ++k) {
+            if (!candidates[k].ok())
+                return candidates[k].status();
             if (scores[k] >= scores[best_k])
                 break; // merging more subgraphs stopped paying off
             best_k = k;
         }
-        best = std::move(candidates[best_k]);
+        best = std::move(candidates[best_k]).value();
     } else {
         best = explorer.subsetVariant(app);
         double best_score = score(best);
         for (int k = 1; k <= max_k; ++k) {
-            PeVariant candidate =
-                explorer.specializedVariant(app, k);
-            const double s = score(candidate);
+            auto candidate = explorer.specializedVariant(app, k);
+            if (!candidate.ok())
+                return candidate.status();
+            const double s = score(*candidate);
             if (s >= best_score)
                 break; // merging more subgraphs stopped paying off
             best_score = s;
-            best = std::move(candidate);
+            best = std::move(candidate).value();
         }
     }
     best.name = "pe_spec_" + app.name;

@@ -134,17 +134,23 @@ EvalResult evaluate(const apps::AppInfo &app, const PeVariant &variant,
  * improving variant ("the most specialized PE possible without
  * increasing the area or energy of the application").
  *
+ * A candidate that fails to build (mining or merge) ends the walk
+ * with its Status when the walk reaches it; a candidate that builds
+ * but fails evaluation scores as infinitely bad and stops the walk.
+ *
  * With @p pool (parallelism > 1), every candidate k is built and
  * scored concurrently and the stopping rule is applied to the score
  * sequence afterwards — speculative work past the stopping point is
- * wasted, but the chosen variant is identical to the sequential
- * scan because each score depends only on its own candidate.
+ * wasted, but the chosen variant (or the reported failure) is
+ * identical to the sequential scan because each score depends only
+ * on its own candidate.
  */
-PeVariant bestSpecializedVariant(const apps::AppInfo &app,
-                                 const Explorer &explorer,
-                                 const model::TechModel &tech,
-                                 runtime::ThreadPool *pool = nullptr,
-                                 const EvalOptions &options = {});
+Result<PeVariant>
+bestSpecializedVariant(const apps::AppInfo &app,
+                       const Explorer &explorer,
+                       const model::TechModel &tech,
+                       runtime::ThreadPool *pool = nullptr,
+                       const EvalOptions &options = {});
 
 /**
  * Serialize a *successful* EvalResult for the artifact cache

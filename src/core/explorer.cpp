@@ -50,8 +50,7 @@ Explorer::Explorer(const model::TechModel &tech,
 }
 
 Result<std::vector<mining::MinedPattern>>
-Explorer::tryAnalyze(const Graph &app,
-                     mining::MineStats *stats) const
+Explorer::analyze(const Graph &app, mining::MineStats *stats) const
 {
     if (stats != nullptr)
         *stats = mining::MineStats{};
@@ -73,17 +72,11 @@ Explorer::tryAnalyze(const Graph &app,
     }
 }
 
-std::vector<mining::MinedPattern>
-Explorer::analyze(const Graph &app) const
-{
-    return tryAnalyze(app).valueOr({});
-}
-
 Result<std::vector<Graph>>
-Explorer::tryTopPatterns(const Graph &app, int k,
-                         mining::MineStats *stats) const
+Explorer::topPatterns(const Graph &app, int k,
+                      mining::MineStats *stats) const
 {
-    auto mined = tryAnalyze(app, stats);
+    auto mined = analyze(app, stats);
     if (!mined.ok())
         return mined.status();
     std::vector<Graph> result;
@@ -114,15 +107,14 @@ Explorer::subsetVariant(const apps::AppInfo &app) const
 }
 
 Result<PeVariant>
-Explorer::trySpecializedVariant(const apps::AppInfo &app,
-                                int k) const
+Explorer::specializedVariant(const apps::AppInfo &app, int k) const
 {
     PeVariant v;
     v.name = "pe" + std::to_string(k + 1) + "_" + app.name;
     const pe::PeSpec seed =
         pe::baselineSubsetPe(pe::opsUsedBy(app.graph), v.name);
     mining::MineStats mine_stats;
-    auto patterns = tryTopPatterns(app.graph, k, &mine_stats);
+    auto patterns = topPatterns(app.graph, k, &mine_stats);
     if (!patterns.ok())
         return patterns.status().withContext("building variant '" +
                                              v.name + "'");
@@ -141,27 +133,14 @@ Explorer::trySpecializedVariant(const apps::AppInfo &app,
     return v;
 }
 
-PeVariant
-Explorer::specializedVariant(const apps::AppInfo &app, int k) const
-{
-    auto result = trySpecializedVariant(app, k);
-    if (result.ok())
-        return std::move(result).value();
-    // Degrade to PE 1 under the requested name so exploration can
-    // continue with a functional (if unspecialized) variant.
-    PeVariant v = subsetVariant(app);
-    v.name = "pe" + std::to_string(k + 1) + "_" + app.name;
-    v.spec.name = v.name;
-    return v;
-}
-
-PeVariant
+Result<PeVariant>
 Explorer::specVariant(const apps::AppInfo &app) const
 {
-    PeVariant v =
-        specializedVariant(app, options_.max_merged_subgraphs);
-    v.name = "pe_spec_" + app.name;
-    v.spec.name = v.name;
+    auto v = specializedVariant(app, options_.max_merged_subgraphs);
+    if (!v.ok())
+        return v.status();
+    v->name = "pe_spec_" + app.name;
+    v->spec.name = v->name;
     return v;
 }
 
@@ -183,63 +162,43 @@ domainSeedPe(const std::vector<apps::AppInfo> &domain_apps,
 } // namespace
 
 Result<PeVariant>
-Explorer::tryDomainVariant(const std::vector<apps::AppInfo>
-                               &domain_apps,
-                           int per_app,
-                           const std::string &name) const
+Explorer::domainVariant(const std::vector<apps::AppInfo> &domain_apps,
+                        int per_app, const std::string &name) const
 {
     PeVariant v;
     v.name = name;
     const pe::PeSpec seed = domainSeedPe(domain_apps, name);
 
-    // Interleave the domain's top subgraphs app by app, deduplicated
-    // by canonical identity, so every application contributes its
-    // most valuable pattern before any contributes a second one.
+    // Mine every app (fanned out over the pool; in order without
+    // one).  Each iteration writes only its own slot, and the first
+    // failure *in app order* is reported whatever the schedule.
     std::vector<std::vector<Graph>> per_app_patterns(
         domain_apps.size());
     std::vector<mining::MineStats> per_app_stats(domain_apps.size());
-    const bool parallel = options_.pool != nullptr &&
-                          options_.pool->parallelism() > 1;
-    if (parallel) {
-        // Fan the per-app mining out; each iteration writes only its
-        // own slot.  The first failure *in app order* is reported, as
-        // in the sequential walk (later apps' work is speculative).
-        std::vector<Status> statuses(domain_apps.size());
-        runtime::parallelFor(
-            options_.pool, static_cast<int>(domain_apps.size()),
-            [&](int i) {
-                auto patterns =
-                    tryTopPatterns(domain_apps[i].graph, per_app,
-                                   &per_app_stats[i]);
-                if (patterns.ok())
-                    per_app_patterns[i] =
-                        std::move(patterns).value();
-                else
-                    statuses[i] = patterns.status();
-            });
-        for (std::size_t i = 0; i < domain_apps.size(); ++i) {
-            if (!statuses[i].ok())
-                return std::move(statuses[i])
-                    .withContext("building domain variant '" + name +
-                                 "' (app '" + domain_apps[i].name +
-                                 "')");
-        }
-    } else {
-        for (std::size_t i = 0; i < domain_apps.size(); ++i) {
-            auto patterns =
-                tryTopPatterns(domain_apps[i].graph, per_app,
-                               &per_app_stats[i]);
-            if (!patterns.ok())
-                return patterns.status().withContext(
-                    "building domain variant '" + name + "' (app '" +
-                    domain_apps[i].name + "')");
-            per_app_patterns[i] = std::move(patterns).value();
-        }
+    std::vector<Status> statuses(domain_apps.size());
+    runtime::parallelFor(
+        options_.pool, static_cast<int>(domain_apps.size()),
+        [&](int i) {
+            auto patterns = topPatterns(domain_apps[i].graph, per_app,
+                                        &per_app_stats[i]);
+            if (patterns.ok())
+                per_app_patterns[i] = std::move(patterns).value();
+            else
+                statuses[i] = patterns.status();
+        });
+    for (std::size_t i = 0; i < domain_apps.size(); ++i) {
+        if (!statuses[i].ok())
+            return std::move(statuses[i])
+                .withContext("building domain variant '" + name +
+                             "' (app '" + domain_apps[i].name + "')");
     }
     for (const mining::MineStats &s : per_app_stats)
         v.mine_capped_levels +=
             static_cast<int>(s.capped_levels.size());
 
+    // Interleave the domain's top subgraphs app by app, deduplicated
+    // by canonical identity, so every application contributes its
+    // most valuable pattern before any contributes a second one.
     std::set<std::string> seen;
     for (int round = 0; round < per_app; ++round) {
         for (const auto &list : per_app_patterns) {
@@ -260,21 +219,6 @@ Explorer::tryDomainVariant(const std::vector<apps::AppInfo>
     v.non_optimal_merges = mm.non_optimal_cliques;
     v.merge_timeouts = mm.clique_timeouts;
     v.spec = pe::makePeSpec(mm.merged, name);
-    return v;
-}
-
-PeVariant
-Explorer::domainVariant(const std::vector<apps::AppInfo>
-                            &domain_apps,
-                        int per_app, const std::string &name) const
-{
-    auto result = tryDomainVariant(domain_apps, per_app, name);
-    if (result.ok())
-        return std::move(result).value();
-    // Degrade to the op-union subset PE with no merged patterns.
-    PeVariant v;
-    v.name = name;
-    v.spec = domainSeedPe(domain_apps, name);
     return v;
 }
 

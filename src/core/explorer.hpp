@@ -85,24 +85,16 @@ class Explorer {
      * Frequent-subgraph analysis of one application (Sec. 3): mining,
      * MIS analysis, ranking.  Only single-sink patterns with >= 2
      * compute nodes and MIS >= min_mis survive — those are the PE
-     * candidates.
-     */
-    std::vector<mining::MinedPattern>
-    analyze(const ir::Graph &app) const;
-
-    /**
-     * Status-bearing analyze(): mining failures (including injected
-     * faults and unexpected exceptions) come back as kMiningFailed
-     * instead of propagating.  analyze() is the legacy wrapper that
-     * degrades to an empty pattern list.
+     * candidates.  Mining failures (including injected faults and
+     * unexpected exceptions) come back as kMiningFailed.
      *
      * @param stats Optional miner counters for the run (levels,
      * candidates, capped levels, ...); left zeroed on failure paths
      * that never reach the miner.
      */
     Result<std::vector<mining::MinedPattern>>
-    tryAnalyze(const ir::Graph &app,
-               mining::MineStats *stats = nullptr) const;
+    analyze(const ir::Graph &app,
+            mining::MineStats *stats = nullptr) const;
 
     /** PE Base. */
     PeVariant baselineVariant() const;
@@ -112,36 +104,24 @@ class Explorer {
 
     /**
      * PE (1+k) for @p app: PE 1 merged with the top @p k subgraphs.
-     * k = 0 degenerates to PE 1.
+     * k = 0 degenerates to PE 1.  Mining and merge failures come back
+     * typed (kMiningFailed / kMergeInfeasible).
      */
-    PeVariant specializedVariant(const apps::AppInfo &app,
-                                 int k) const;
-
-    /**
-     * Status-bearing specializedVariant(): mining and merge failures
-     * come back typed (kMiningFailed / kMergeInfeasible).  The
-     * legacy API degrades to PE 1 when variant construction fails.
-     */
-    Result<PeVariant> trySpecializedVariant(const apps::AppInfo &app,
-                                            int k) const;
+    Result<PeVariant> specializedVariant(const apps::AppInfo &app,
+                                         int k) const;
 
     /** The most specialized variant (k = max_merged_subgraphs). */
-    PeVariant specVariant(const apps::AppInfo &app) const;
+    Result<PeVariant> specVariant(const apps::AppInfo &app) const;
 
     /**
      * Domain PE: op-union subset PE merged with the top
      * @p per_app subgraphs of every application in @p domain_apps.
+     * A mining failure reports the first failing app in
+     * @p domain_apps order, whatever the pool's parallelism.
      */
-    PeVariant domainVariant(const std::vector<apps::AppInfo>
-                                &domain_apps,
-                            int per_app, const std::string &name)
-        const;
-
-    /** Status-bearing domainVariant(); the legacy API degrades to
-     * the op-union subset PE without merged patterns. */
     Result<PeVariant>
-    tryDomainVariant(const std::vector<apps::AppInfo> &domain_apps,
-                     int per_app, const std::string &name) const;
+    domainVariant(const std::vector<apps::AppInfo> &domain_apps,
+                  int per_app, const std::string &name) const;
 
     const model::TechModel &tech() const { return tech_; }
     const ExplorerOptions &options() const { return options_; }
@@ -149,8 +129,8 @@ class Explorer {
   private:
     /** Top-k mergeable pattern graphs of an app, in MIS order. */
     Result<std::vector<ir::Graph>>
-    tryTopPatterns(const ir::Graph &app, int k,
-                   mining::MineStats *stats = nullptr) const;
+    topPatterns(const ir::Graph &app, int k,
+                mining::MineStats *stats = nullptr) const;
 
     const model::TechModel &tech_;
     ExplorerOptions options_;

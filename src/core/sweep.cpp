@@ -425,7 +425,7 @@ buildApp(SweepState &st, std::size_t i, runtime::TaskGraph &graph)
             setVariant(slot, kSubset, st.explorer.subsetVariant(app));
         if (options.include_specialized) {
             const int k = st.explorer.options().max_merged_subgraphs;
-            auto v = st.explorer.trySpecializedVariant(app, k);
+            auto v = st.explorer.specializedVariant(app, k);
             if (v.ok()) {
                 setVariant(slot, kSpecialized, std::move(v).value());
             } else {

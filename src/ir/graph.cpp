@@ -1,7 +1,6 @@
 #include "ir/graph.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "core/status.hpp"
 
@@ -31,51 +30,6 @@ Graph::setOperand(NodeId node, int port, NodeId src)
     if (static_cast<int>(ops.size()) <= port)
         ops.resize(port + 1, kNoNode);
     ops[port] = src;
-}
-
-bool
-Graph::validate(std::string *error) const
-{
-    auto fail = [&](const std::string &msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        const Node &n = nodes_[id];
-        const int arity = opArity(n.op);
-        if (arity >= 0 &&
-            static_cast<int>(n.operands.size()) != arity) {
-            std::ostringstream os;
-            os << "node " << id << " (" << opName(n.op) << ") has "
-               << n.operands.size() << " operands, expected " << arity;
-            return fail(os.str());
-        }
-        for (int p = 0; p < static_cast<int>(n.operands.size()); ++p) {
-            const NodeId src = n.operands[p];
-            if (src == kNoNode || src >= nodes_.size()) {
-                std::ostringstream os;
-                os << "node " << id << " port " << p
-                   << " has invalid operand";
-                return fail(os.str());
-            }
-            const ValueType want = opOperandType(n.op, p);
-            const ValueType got = opResultType(nodes_[src].op);
-            if (want != got) {
-                std::ostringstream os;
-                os << "node " << id << " (" << opName(n.op) << ") port "
-                   << p << ": type mismatch from node " << src << " ("
-                   << opName(nodes_[src].op) << ")";
-                return fail(os.str());
-            }
-        }
-    }
-
-    // Acyclicity via Kahn's algorithm.
-    if (topoOrder().size() != nodes_.size())
-        return fail("graph contains a cycle");
-    return true;
 }
 
 std::vector<NodeId>

@@ -45,12 +45,12 @@ struct Edge {
 };
 
 /**
- * A dataflow DAG of labeled operations.
+ * A dataflow graph of labeled operations.
  *
- * Invariants (checked by validate()):
+ * Invariants (checked by ir::validate(), see ir/validate.hpp):
  *  - every operand id refers to an existing node;
  *  - operand counts match opArity();
- *  - the graph is acyclic;
+ *  - every cycle crosses a register (kReg);
  *  - operand value types match opOperandType().
  */
 class Graph {
@@ -72,14 +72,6 @@ class Graph {
     Node &node(NodeId id) { return nodes_[id]; }
 
     Op op(NodeId id) const { return nodes_[id].op; }
-
-    /**
-     * Check all structural invariants.
-     *
-     * @param error  Optional out-parameter describing the first violation.
-     * @return true when the graph is well formed.
-     */
-    bool validate(std::string *error = nullptr) const;
 
     /** @return node ids in a topological order (operands first). */
     std::vector<NodeId> topoOrder() const;

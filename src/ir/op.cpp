@@ -10,49 +10,49 @@ namespace apex::ir {
 namespace {
 
 constexpr std::array<OpInfo, kNumOps> kOpTable = {{
-    // name        arity result              commut compute structural
-    {"input",      0, ValueType::kWord, false, false, true},
-    {"input_bit",  0, ValueType::kBit,  false, false, true},
-    {"output",     1, ValueType::kWord, false, false, true},
-    {"output_bit", 1, ValueType::kBit,  false, false, true},
-    {"const",      0, ValueType::kWord, false, false, true},
-    {"const_bit",  0, ValueType::kBit,  false, false, true},
-    {"reg",        1, ValueType::kWord, false, false, true},
-    {"regfile",    1, ValueType::kWord, false, false, true},
-    {"mem",        1, ValueType::kWord, false, false, true},
+    // name        arity result              compute structural
+    {"input",      0, ValueType::kWord, false, true},
+    {"input_bit",  0, ValueType::kBit,  false, true},
+    {"output",     1, ValueType::kWord, false, true},
+    {"output_bit", 1, ValueType::kBit,  false, true},
+    {"const",      0, ValueType::kWord, false, true},
+    {"const_bit",  0, ValueType::kBit,  false, true},
+    {"reg",        1, ValueType::kWord, false, true},
+    {"regfile",    1, ValueType::kWord, false, true},
+    {"mem",        1, ValueType::kWord, false, true},
 
-    {"add",        2, ValueType::kWord, true,  true, false},
-    {"sub",        2, ValueType::kWord, false, true, false},
-    {"mul",        2, ValueType::kWord, true,  true, false},
-    {"abs",        1, ValueType::kWord, false, true, false},
-    {"min",        2, ValueType::kWord, true,  true, false},
-    {"max",        2, ValueType::kWord, true,  true, false},
-    {"shl",        2, ValueType::kWord, false, true, false},
-    {"lshr",       2, ValueType::kWord, false, true, false},
-    {"ashr",       2, ValueType::kWord, false, true, false},
+    {"add",        2, ValueType::kWord, true, false},
+    {"sub",        2, ValueType::kWord, true, false},
+    {"mul",        2, ValueType::kWord, true, false},
+    {"abs",        1, ValueType::kWord, true, false},
+    {"min",        2, ValueType::kWord, true, false},
+    {"max",        2, ValueType::kWord, true, false},
+    {"shl",        2, ValueType::kWord, true, false},
+    {"lshr",       2, ValueType::kWord, true, false},
+    {"ashr",       2, ValueType::kWord, true, false},
 
-    {"and",        2, ValueType::kWord, true,  true, false},
-    {"or",         2, ValueType::kWord, true,  true, false},
-    {"xor",        2, ValueType::kWord, true,  true, false},
-    {"not",        1, ValueType::kWord, false, true, false},
+    {"and",        2, ValueType::kWord, true, false},
+    {"or",         2, ValueType::kWord, true, false},
+    {"xor",        2, ValueType::kWord, true, false},
+    {"not",        1, ValueType::kWord, true, false},
 
-    {"eq",         2, ValueType::kBit,  true,  true, false},
-    {"neq",        2, ValueType::kBit,  true,  true, false},
-    {"ult",        2, ValueType::kBit,  false, true, false},
-    {"ule",        2, ValueType::kBit,  false, true, false},
-    {"ugt",        2, ValueType::kBit,  false, true, false},
-    {"uge",        2, ValueType::kBit,  false, true, false},
-    {"slt",        2, ValueType::kBit,  false, true, false},
-    {"sle",        2, ValueType::kBit,  false, true, false},
-    {"sgt",        2, ValueType::kBit,  false, true, false},
-    {"sge",        2, ValueType::kBit,  false, true, false},
+    {"eq",         2, ValueType::kBit,  true, false},
+    {"neq",        2, ValueType::kBit,  true, false},
+    {"ult",        2, ValueType::kBit,  true, false},
+    {"ule",        2, ValueType::kBit,  true, false},
+    {"ugt",        2, ValueType::kBit,  true, false},
+    {"uge",        2, ValueType::kBit,  true, false},
+    {"slt",        2, ValueType::kBit,  true, false},
+    {"sle",        2, ValueType::kBit,  true, false},
+    {"sgt",        2, ValueType::kBit,  true, false},
+    {"sge",        2, ValueType::kBit,  true, false},
 
-    {"sel",        3, ValueType::kWord, false, true, false},
-    {"lut",        3, ValueType::kBit,  false, true, false},
-    {"bit_and",    2, ValueType::kBit,  true,  true, false},
-    {"bit_or",     2, ValueType::kBit,  true,  true, false},
-    {"bit_xor",    2, ValueType::kBit,  true,  true, false},
-    {"bit_not",    1, ValueType::kBit,  false, true, false},
+    {"sel",        3, ValueType::kWord, true, false},
+    {"lut",        3, ValueType::kBit,  true, false},
+    {"bit_and",    2, ValueType::kBit,  true, false},
+    {"bit_or",     2, ValueType::kBit,  true, false},
+    {"bit_xor",    2, ValueType::kBit,  true, false},
+    {"bit_not",    1, ValueType::kBit,  true, false},
 }};
 
 /** Sign-extend the low @p width bits of @p v to a signed 64-bit value. */

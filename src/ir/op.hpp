@@ -85,7 +85,6 @@ struct OpInfo {
     std::string_view name; ///< Lowercase mnemonic, e.g. "add".
     int arity;             ///< Number of data operands (-1: variadic).
     ValueType result;      ///< Result value type.
-    bool commutative;      ///< Operand order irrelevant.
     bool isCompute;        ///< Maps onto a PE functional unit.
     bool isStructural;     ///< IO / const / reg / mem plumbing.
 };

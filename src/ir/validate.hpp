@@ -9,8 +9,7 @@
  * Typed structural validation of dataflow graphs, called at every
  * pipeline boundary (after deserialize, after merge, before mapping).
  *
- * Unlike Graph::validate() — the legacy bool/string check — this
- * returns a Status with ErrorCode::kInvalidIr, distinguishes
+ * Returns a Status with ErrorCode::kInvalidIr, distinguishes
  * register-broken feedback (legal in streaming graphs) from
  * combinational cycles, and checks op-parameter ranges.
  */

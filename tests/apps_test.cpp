@@ -5,6 +5,7 @@
 #include "apps/apps.hpp"
 #include "apps/window.hpp"
 #include "ir/interpreter.hpp"
+#include "ir/validate.hpp"
 
 namespace apex::apps {
 namespace {
@@ -29,8 +30,10 @@ class AppValidityTest : public ::testing::TestWithParam<const char *> {
 
 TEST_P(AppValidityTest, GraphValidates) {
     const AppInfo app = load();
-    std::string error;
-    EXPECT_TRUE(app.graph.validate(&error)) << app.name << ": " << error;
+    const Status s = ir::validate(app.graph);
+    EXPECT_TRUE(s.ok()) << app.name << ": " << s.toString();
+    EXPECT_EQ(app.graph.topoOrder().size(), app.graph.size())
+        << app.name << " is not a DAG";
     EXPECT_FALSE(app.graph.empty());
     EXPECT_GT(app.work_items_per_frame, 0.0);
     EXPECT_GE(app.items_per_cycle, 1);

@@ -304,6 +304,44 @@ TEST(Cli, DiskFullJournalExitsResourceExhausted)
     EXPECT_EQ(slurp(ref_out), slurp(degraded_out));
 }
 
+TEST(Cli, MineAndMergeFaultsExitWithTheirStageCode)
+{
+    // A failed mine or merge is the command's failure: no report of
+    // a weaker stand-in PE on stdout, the stage's exit code, and the
+    // stage named on stderr.  --jobs 1 keeps fault ordinals on the
+    // sequential schedule.
+    ScratchDir dir("explorer_faults");
+    const std::string out = dir.str() + "/out";
+    const std::string err = dir.str() + "/err";
+    const struct {
+        const char *fault;
+        const char *args;
+        ErrorCode code;
+    } cases[] = {
+        {"mine:1", "analyze fast", ErrorCode::kMiningFailed},
+        {"mine:1", "explore gaussian --variant ip --level map",
+         ErrorCode::kMiningFailed},
+        {"mine:1", "explore gaussian --variant biglittle --level map",
+         ErrorCode::kMiningFailed},
+        {"mine:1", "explore camera --variant spec --level map",
+         ErrorCode::kMiningFailed},
+        {"merge:1", "explore camera --variant spec --level map",
+         ErrorCode::kMergeInfeasible},
+    };
+    for (const auto &c : cases) {
+        const std::string fault = c.fault;
+        SCOPED_TRACE(fault + " " + c.args);
+        EXPECT_EQ(run("APEX_FAULT=" + fault + " " + apexc + " " +
+                      c.args + " --jobs 1 > " + out + " 2> " + err),
+                  exitCodeFor(c.code));
+        EXPECT_EQ(slurp(out), "");
+        const std::string stage = fault.substr(0, fault.find(':'));
+        EXPECT_NE(slurp(err).find("stage '" + stage + "'"),
+                  std::string::npos)
+            << slurp(err);
+    }
+}
+
 TEST(Cli, VersionReportsBuildIdentityAndProtocol)
 {
     ScratchDir dir("version");

@@ -2,6 +2,7 @@
 
 #include "core/evaluate.hpp"
 #include "core/explorer.hpp"
+#include "ir/validate.hpp"
 #include "model/tech.hpp"
 
 namespace apex::core {
@@ -12,12 +13,13 @@ const model::TechModel &tech = model::defaultTech();
 TEST(ExplorerTest, AnalyzeProducesViableRankedPatterns) {
     Explorer ex;
     const auto app = apps::gaussianBlur(4);
-    const auto patterns = ex.analyze(app.graph);
+    const auto patterns = ex.analyze(app.graph).value();
     ASSERT_FALSE(patterns.empty());
     for (const auto &p : patterns) {
         EXPECT_GE(p.core_size, 2);
         EXPECT_GE(p.mis_size, ex.options().min_mis);
-        EXPECT_TRUE(p.pattern.validate());
+        EXPECT_TRUE(ir::validate(p.pattern).ok());
+        EXPECT_EQ(p.pattern.topoOrder().size(), p.pattern.size());
     }
     for (std::size_t i = 1; i < patterns.size(); ++i)
         EXPECT_GE(patterns[i - 1].mis_size, patterns[i].mis_size);
@@ -33,7 +35,7 @@ TEST(ExplorerTest, VariantRecipeShrinksWithSpecialization) {
         << "PE 1 drops unused hardware";
 
     // Merging subgraphs grows the PE core itself...
-    const PeVariant pe2 = ex.specializedVariant(app, 1);
+    const PeVariant pe2 = ex.specializedVariant(app, 1).value();
     EXPECT_GE(pe2.spec.area(tech), pe1.spec.area(tech) * 0.9);
     EXPECT_FALSE(pe2.patterns.empty());
 }
@@ -41,7 +43,7 @@ TEST(ExplorerTest, VariantRecipeShrinksWithSpecialization) {
 TEST(ExplorerTest, DomainVariantCoversAllApps) {
     Explorer ex;
     const auto ip = apps::ipApps();
-    const PeVariant pe_ip = ex.domainVariant(ip, 1, "pe_ip");
+    const PeVariant pe_ip = ex.domainVariant(ip, 1, "pe_ip").value();
     EXPECT_GE(pe_ip.patterns.size(), 2u)
         << "at least two distinct domain subgraphs expected";
     EXPECT_TRUE(pe_ip.spec.dp.validate());
@@ -57,8 +59,9 @@ TEST(EvaluateTest, PostMappingCameraSpecializationShape) {
                                EvalLevel::kPostMapping, tech);
     const auto pe1 = evaluate(app, ex.subsetVariant(app),
                               EvalLevel::kPostMapping, tech);
-    const auto spec = evaluate(app, bestSpecializedVariant(app, ex, tech),
-                               EvalLevel::kPostMapping, tech);
+    const auto spec =
+        evaluate(app, bestSpecializedVariant(app, ex, tech).value(),
+                 EvalLevel::kPostMapping, tech);
     ASSERT_TRUE(base.success) << base.status.toString();
     ASSERT_TRUE(pe1.success) << pe1.status.toString();
     ASSERT_TRUE(spec.success) << spec.status.toString();
@@ -98,7 +101,7 @@ TEST(EvaluateTest, PostPnrAddsInterconnect) {
 TEST(EvaluateTest, PostPipeliningImprovesPerformance) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
-    const PeVariant spec_variant = ex.specVariant(app);
+    const PeVariant spec_variant = ex.specVariant(app).value();
 
     const auto pnr = evaluate(app, spec_variant,
                               EvalLevel::kPostPnr, tech);
@@ -120,7 +123,7 @@ TEST(EvaluateTest, DomainPeBeatsBaselineOnUnseenApps) {
     // beats the baseline on it.
     Explorer ex;
     const PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
     const auto unseen = apps::laplacianPyramid(1);
 
     const auto base = evaluate(unseen, ex.baselineVariant(),
@@ -136,7 +139,7 @@ TEST(EvaluateTest, DomainPeBeatsBaselineOnUnseenApps) {
 TEST(EvaluateTest, MlPeOnMlApps) {
     Explorer ex;
     const PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml");
+        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
     const auto app = apps::mobilenetLayer(2);
 
     const auto base = evaluate(app, ex.baselineVariant(),

@@ -114,6 +114,78 @@ TEST_F(FaultTest, SweepSurvivesFaultAtEveryStage) {
     }
 }
 
+TEST_F(FaultTest, ExplorerReturnsMineAndMergeFailuresAtAnyJobs) {
+    // Every Explorer builder, and the PE Spec walk, hands a mine or
+    // merge failure back as its Status instead of a weaker variant,
+    // and the failure is the same with a null pool and a 4-lane one.
+    // The window fails every call of the stage, so the failure the
+    // in-order walk reaches first is fixed; only the injector's
+    // "(call N)" ordinal depends on which lane claimed it.
+    const auto app = apps::gaussianBlur(1);
+    const auto domain = smallApps();
+    runtime::ThreadPool pool(4);
+    const Explorer sequential(tech);
+    ExplorerOptions with_pool;
+    with_pool.pool = &pool;
+    const Explorer parallel(tech, with_pool);
+    auto sansOrdinal = [](const Status &s) {
+        std::string text = s.toString();
+        const std::size_t at = text.find(" (call ");
+        if (at != std::string::npos)
+            text.erase(at, text.find(')', at) + 1 - at);
+        return text;
+    };
+    auto expectFailure = [&](const Status &seq, const Status &par,
+                             ErrorCode code, const char *what) {
+        SCOPED_TRACE(what);
+        EXPECT_EQ(seq.code(), code) << seq.toString();
+        EXPECT_EQ(par.code(), code) << par.toString();
+        EXPECT_EQ(sansOrdinal(seq), sansOrdinal(par));
+    };
+
+    for (const FaultStage stage : {FaultStage::kMine, FaultStage::kMerge}) {
+        SCOPED_TRACE(std::string(faultStageName(stage)));
+        const ErrorCode code = faultErrorCode(stage);
+        auto failed = [&](auto build) {
+            FaultScope scope(stage, 1, 1000);
+            return build().status();
+        };
+
+        // analyze() only mines: a merge fault cannot reach it.
+        const Status a_seq =
+            failed([&] { return sequential.analyze(app.graph); });
+        const Status a_par =
+            failed([&] { return parallel.analyze(app.graph); });
+        if (stage == FaultStage::kMine) {
+            expectFailure(a_seq, a_par, code, "analyze");
+        } else {
+            EXPECT_TRUE(a_seq.ok() && a_par.ok());
+        }
+
+        expectFailure(
+            failed([&] { return sequential.specializedVariant(app, 2); }),
+            failed([&] { return parallel.specializedVariant(app, 2); }),
+            code, "specializedVariant");
+        expectFailure(
+            failed([&] {
+                return sequential.domainVariant(domain, 1, "pe_dom");
+            }),
+            failed([&] {
+                return parallel.domainVariant(domain, 1, "pe_dom");
+            }),
+            code, "domainVariant");
+        expectFailure(
+            failed([&] {
+                return bestSpecializedVariant(app, sequential, tech);
+            }),
+            failed([&] {
+                return bestSpecializedVariant(app, parallel, tech,
+                                              &pool);
+            }),
+            code, "bestSpecializedVariant");
+    }
+}
+
 TEST_F(FaultTest, ValidateFaultSkipsWholeApp) {
     const auto apps_list = smallApps();
     Explorer ex;

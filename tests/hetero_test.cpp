@@ -52,7 +52,7 @@ TEST(HeteroTest, BigLittleMapsAndSplitsWork) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
     const HeteroCgra cgra = makeBigLittleCgra(
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip"), "biglittle");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value(), "biglittle");
 
     const auto r = evaluateHetero(app, cgra,
                                   EvalLevel::kPostMapping, tech);
@@ -71,7 +71,7 @@ TEST(HeteroTest, HeteroBeatsHomogeneousOnArea) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
     const PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
 
     const auto homo = evaluate(app, pe_ip,
                                EvalLevel::kPostMapping, tech);
@@ -88,7 +88,7 @@ TEST(HeteroTest, FunctionalEquivalenceAcrossTypes) {
     Explorer ex;
     const auto app = apps::gaussianBlur(1);
     const HeteroCgra cgra = makeBigLittleCgra(
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip"), "biglittle");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value(), "biglittle");
 
     std::vector<std::vector<mapper::RewriteRule>> libs;
     std::vector<double> areas;
@@ -121,7 +121,7 @@ TEST(HeteroTest, PlacementRespectsTypePools) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
     const HeteroCgra cgra = makeBigLittleCgra(
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip"), "biglittle");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value(), "biglittle");
 
     const auto r = evaluateHetero(app, cgra, EvalLevel::kPostPnr,
                                   tech);
@@ -137,7 +137,7 @@ TEST(HeteroTest, TypePoolCapacityIsEnforced) {
     Explorer ex;
     const auto app = apps::gaussianBlur(4);
     const HeteroCgra cgra = makeBigLittleCgra(
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip"), "biglittle");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value(), "biglittle");
     EvalOptions options;
     options.fabric_width = 4;
     options.fabric_height = 4;

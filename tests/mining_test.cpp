@@ -7,6 +7,7 @@
 #include "ir/builder.hpp"
 #include "ir/serialize.hpp"
 #include "ir/signature.hpp"
+#include "ir/validate.hpp"
 #include "mining/isomorphism.hpp"
 #include "mining/miner.hpp"
 #include "mining/mis.hpp"
@@ -346,7 +347,8 @@ TEST_P(MinerPropertyTest, OccurrencesAreEmbeddingsAndMisBounded) {
         EXPECT_GE(p.frequency, 3);
         EXPECT_GE(p.mis_size, 1);
         EXPECT_LE(p.mis_size, p.frequency);
-        EXPECT_TRUE(p.pattern.validate());
+        EXPECT_TRUE(ir::validate(p.pattern).ok());
+        EXPECT_EQ(p.pattern.topoOrder().size(), p.pattern.size());
         for (const auto &occ : p.occurrences)
             EXPECT_EQ(occ.size(), static_cast<std::size_t>(p.core_size));
     }

@@ -5,6 +5,7 @@
 #include "ir/interpreter.hpp"
 #include "ir/serialize.hpp"
 #include "ir/signature.hpp"
+#include "ir/validate.hpp"
 
 namespace apex::ir {
 namespace {
@@ -59,7 +60,8 @@ TEST(SerializeTest, RoundTripEveryApp) {
         ASSERT_TRUE(parsed.ok())
             << app.name << ": " << parsed.status().toString();
         EXPECT_EQ(parsed->size(), app.graph.size()) << app.name;
-        EXPECT_TRUE(parsed->validate()) << app.name;
+        EXPECT_TRUE(validate(*parsed, {.require_def_order = true}).ok())
+            << app.name;
     }
 }
 

@@ -92,7 +92,6 @@ TEST(ResultTest, HoldsValue) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value(), 42);
     EXPECT_EQ(*r, 42);
-    EXPECT_EQ(r.valueOr(7), 42);
     EXPECT_TRUE(r.status().ok());
 }
 
@@ -100,7 +99,6 @@ TEST(ResultTest, ErrorPropagatesAndValueThrows) {
     Result<int> r(Status(ErrorCode::kPlaceFailed, "no tiles"));
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::kPlaceFailed);
-    EXPECT_EQ(r.valueOr(7), 7);
     EXPECT_THROW(r.value(), ApexError);
 }
 
